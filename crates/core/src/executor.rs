@@ -674,6 +674,8 @@ pub struct Pipeline {
     pub deadline: Option<Instant>,
     /// Walk stacks reused across every unit and group this pipeline runs.
     scratch: TraversalScratch,
+    /// Leading groups whose members' info transformers are registered.
+    started_groups: usize,
 }
 
 impl Pipeline {
@@ -710,7 +712,25 @@ impl Pipeline {
             unit_index_base: 0,
             deadline: None,
             scratch: TraversalScratch::new(),
+            started_groups: 0,
         }
+    }
+
+    /// Marks group `gi` as started: the first time, registers its members'
+    /// info transformers on the symbol table, in member order
+    /// ([`MiniPhase::info_transformer`]). Groups start in order, once per
+    /// pipeline however many units or passes follow.
+    fn start_group(&mut self, gi: usize, ctx: &mut Ctx) {
+        if gi < self.started_groups {
+            return;
+        }
+        debug_assert_eq!(gi, self.started_groups, "groups start in order");
+        for m in self.groups[gi].members() {
+            if let Some(t) = m.info_transformer() {
+                ctx.symbols.register_info_transformer(t);
+            }
+        }
+        self.started_groups = gi + 1;
     }
 
     /// Takes the per-group checker findings recorded by
@@ -787,6 +807,7 @@ impl Pipeline {
     pub fn run_unit(&mut self, ctx: &mut Ctx, unit: CompilationUnit) -> CompilationUnit {
         let mut cur = unit;
         for gi in 0..self.groups.len() {
+            self.start_group(gi, ctx);
             let mut stats = ExecStats::default();
             cur = self.run_group_on_unit(gi, ctx, &cur, &mut stats);
             stats.member_transforms = self.groups[gi].take_member_transforms();
@@ -819,6 +840,7 @@ impl Pipeline {
         let mut units = units;
         let mut fresh_scopes = vec![0u32; units.len()];
         for gi in 0..self.groups.len() {
+            self.start_group(gi, ctx);
             let mut next = Vec::with_capacity(units.len());
             let mut found_row = Vec::new();
             for (ui, u) in units.into_iter().enumerate() {
@@ -896,6 +918,7 @@ impl Pipeline {
                     break;
                 }
             }
+            self.start_group(gi, ctx);
             let mut next = Vec::with_capacity(units.len());
             let mut row = Vec::with_capacity(units.len());
             let total = fresh_scopes.len();

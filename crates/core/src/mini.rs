@@ -76,6 +76,16 @@ macro_rules! define_mini_phase {
                 Vec::new()
             }
 
+            /// The symbol info transformer of a phase that rewrites
+            /// signatures (Dotty's `InfoTransformer`). The executors register
+            /// it on the symbol table once per pipeline, when the phase's
+            /// group starts — before any member's `prepare_unit` — and
+            /// from then on every symbol read sees the rewritten info. `None`
+            /// (the default) for phases that only rewrite trees.
+            fn info_transformer(&self) -> Option<mini_ir::InfoTransformer> {
+                None
+            }
+
             /// Initializes per-unit state (§4.2, `compilationUnitPrepare`).
             fn prepare_unit(&mut self, ctx: &mut Ctx, unit_tree: &TreeRef) {
                 let _ = (ctx, unit_tree);

@@ -49,18 +49,24 @@
 //!   need no id rewriting at merge time; a symbol-heavy chunk that
 //!   outgrows its shard chains interleaved overflow shards instead of
 //!   aborting), and routes mutations of pre-fork symbols to a private
-//!   overlay. After the join, shards and overlays merge back in chunk
-//!   order — which is unit order, because chunks are contiguous unit
-//!   ranges (see [`mini_ir::SymbolTable::adopt`] for the field-wise merge
-//!   rules).
+//!   overlay. Signature rewrites are not writes: the chunk's pipeline
+//!   registers its info transformers on the fork, so an overlay holds
+//!   only the chunk's real writes. After the join, shards and overlays
+//!   merge back in chunk order — which is unit order, because chunks are
+//!   contiguous unit ranges — and the first merge registers the chunks'
+//!   transformer stack on the origin table, so later readers (codegen)
+//!   see the post-pipeline view (see [`mini_ir::SymbolTable::adopt`] for
+//!   the field-wise merge rules).
 //!
 //! # The per-chunk dynamic checker and its failure-ordering rule
 //!
 //! With `check` on, each chunk runs the between-group tree checker
 //! ([`crate::check_unit`]) against its **own private context** — checker
 //! reads resolve in the fork exactly as they would in the shared
-//! sequential table, because whole-table symbol sweeps run per chunk and
-//! per-unit mutations only touch symbols the unit owns. Findings are
+//! sequential table, because each chunk's pipeline registers the same info
+//! transformers on its fork at the same group starts
+//! ([`mini_ir::InfoTransformer`]) and per-unit mutations only touch
+//! symbols the unit owns. Findings are
 //! recorded per (group, unit) and re-sequenced at the fan-in
 //! **group-major, then unit order**: the merged failure list is
 //! byte-identical (content *and* order) to the sequential pipeline's, so
@@ -706,7 +712,7 @@ where
         ctx.stats.bytes += o.alloc.bytes;
         ctx.errors.extend(o.errors);
         if let Some(delta) = o.delta {
-            ctx.symbols.adopt(delta);
+            ctx.symbols.adopt(&delta);
         }
         if let Some(data) = o.data {
             worker_data.push(data);
@@ -1156,7 +1162,7 @@ mod tests {
                 .map(|u| mini_ir::printer::print_tree(&u.tree, &ctx.symbols))
                 .collect();
             // Every created symbol resolves through the merged table, and
-            // the sweep order stays strictly ascending.
+            // `ids()` stays strictly ascending.
             let ids: Vec<u32> = ctx.symbols.ids().map(|s| s.index()).collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascending");
             for id in ctx.symbols.ids() {

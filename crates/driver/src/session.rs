@@ -19,10 +19,12 @@
 //!    [`Ctx`] that only the namer/typer ever mutates. The transform
 //!    pipeline runs on **copy-on-write forks** of it
 //!    ([`miniphase::run_units_isolated`], one fork per unit) and *nothing
-//!    is adopted back*: phase mutations (erasure's whole-table info sweep,
-//!    getter synthesis, lambda lifting) must never leak into the symbol
-//!    state a later edit's typing observes, or an incremental re-type would
-//!    see post-pipeline types where a batch compile sees frontend types.
+//!    is adopted back*: phase effects (the info transformers of
+//!    `ElimRepeated`/`ElimByName`/`Erasure`, getter synthesis, lambda
+//!    lifting) must never leak into the symbol state a later edit's typing
+//!    observes, or an incremental re-type would see post-pipeline types
+//!    where a batch compile sees frontend types. The frontend table never
+//!    registers an info transformer; only forks and splice tables do.
 //!
 //! 2. **Stable symbol identity across edits.** Re-typing an edited unit
 //!    goes through the typer's redefinition mode
@@ -47,13 +49,16 @@
 //! 4. **Delta splicing instead of table mutation.** `compile()` assembles
 //!    the program table by cloning the pristine frontend table (cheap —
 //!    `Arc`-shared) and adopting every live unit's cached delta in unit
-//!    order. Cached deltas are **filtered at cache time** down to the
-//!    symbols the unit owns (plus the builtin region and the root
-//!    package's append-only decls): whole-table sweeps also touch *other*
-//!    units' symbols, and those residues would go stale — and poison the
-//!    rebuild — the moment their owner is re-typed. Every unit's own delta
-//!    carries its own sweep results, so the union over live units is
-//!    complete.
+//!    order, by reference (the delta's shards are shared, only written
+//!    fields are copied). A unit's delta holds only what its pipeline
+//!    *wrote*: its new symbols and its writes to symbols it owns, plus
+//!    appends to the root package's decls (`tests/info_transformers.rs`
+//!    pins this bound). Signature rewrites are not writes: adopting the
+//!    first delta registers the pipeline's info-transformer stack on the
+//!    splice table, so every symbol — builtins and other units' symbols
+//!    included — reads in the post-pipeline form codegen and
+//!    [`Compiled::ctx`] expect, with nothing that can go stale when
+//!    another unit is re-typed.
 //!
 //! Determinism: a session compile after any edit series is byte-identical
 //! — printed trees, VM output, checker findings, merged `ExecStats` — to a
@@ -235,8 +240,8 @@ struct UnitArtifact {
     /// results without re-traversing — per-unit scoping of every rule is
     /// what makes this sound.
     findings_by_group: Vec<Vec<Finding>>,
-    /// Filtered symbol-table delta (this unit's own symbols, builtins,
-    /// root-package appends).
+    /// Symbol-table delta: the unit's new symbols and its writes to
+    /// pre-existing ones (its own definitions and root-package appends).
     delta: SymbolDelta,
     /// Compile sequence number the artifact was (re)built in — the age key
     /// of the byte-budget eviction. Assigned at creation only: every live
@@ -307,9 +312,6 @@ pub struct CompileSession {
     sym_cursor: u32,
     node_cursor: u64,
     heap_cursor: u64,
-    /// Symbols below this index are builtins (created by `SymbolTable::new`
-    /// before any unit) — their sweep mutations are kept in every delta.
-    builtin_len: u32,
     stats: CacheStats,
     /// A failed compile may leave the frontend half-updated; the next
     /// compile rebuilds from scratch instead of trusting it.
@@ -336,7 +338,6 @@ impl CompileSession {
     pub fn new(opts: CompilerOptions) -> CompileSession {
         let mut front = Ctx::new();
         opts.configure_ctx(&mut front);
-        let builtin_len = front.symbols.len() as u32;
         CompileSession {
             opts,
             config_fp: config_fingerprint(&opts),
@@ -347,7 +348,6 @@ impl CompileSession {
             sym_cursor: SESSION_SYM_FLOOR,
             node_cursor: SESSION_NODE_FLOOR,
             heap_cursor: SESSION_NODE_FLOOR,
-            builtin_len,
             stats: CacheStats::default(),
             poisoned: false,
             fault_plan: None,
@@ -775,7 +775,7 @@ impl CompileSession {
             for fs in &a.findings_by_group {
                 findings.extend(fs.iter().cloned());
             }
-            table.adopt(a.delta.clone());
+            table.adopt(&a.delta);
             trees.push(a.tree.clone());
             out_units.push(CompilationUnit::new(name.clone(), a.tree.clone()));
         }
@@ -844,8 +844,8 @@ impl CompileSession {
         self.heap_cursor += u64::from(n) * UNIT_HEAP_STRIDE;
     }
 
-    /// Caches one clean pipeline outcome as the unit's artifact (filtered
-    /// delta, current compile stamp, modelled byte size), recording the
+    /// Caches one clean pipeline outcome as the unit's artifact (delta,
+    /// current compile stamp, modelled byte size), recording the
     /// pipeline slot's symbol-id range, and publishes it to the shared
     /// store when one is attached. `slot` is `(floor, capacity)` of the
     /// unit's isolated fork shard.
@@ -861,8 +861,7 @@ impl CompileSession {
         let stamp = self.compile_seq;
         let config_fp = self.config_fp;
         let state = self.units.get_mut(name).expect("dirty unit exists");
-        let top_set: HashSet<SymbolId> = state.top_syms.iter().copied().collect();
-        let delta = filter_unit_delta(run.delta, &self.front.symbols, &top_set, self.builtin_len);
+        let delta = run.delta;
         let (slot_floor, slot_cap) = slot;
         let sym_range = (slot_floor, delta.max_id_end().max(slot_floor));
         // Modelled artifact footprint: tree nodes dominate; 64 bytes is the
@@ -1095,7 +1094,6 @@ impl CompileSession {
     fn rebuild_frontend(&mut self) {
         let mut front = Ctx::new();
         self.opts.configure_ctx(&mut front);
-        self.builtin_len = front.symbols.len() as u32;
         self.front = front;
         self.owner_unit.clear();
         self.sym_cursor = SESSION_SYM_FLOOR;
@@ -1133,38 +1131,6 @@ fn config_fingerprint(opts: &CompilerOptions) -> u64 {
         h.u64(plan.group_count() as u64);
     }
     h.finish()
-}
-
-/// Filters a unit's pipeline delta down to the entries that stay valid for
-/// the unit's whole cache lifetime: mutations of symbols the unit owns
-/// (frontend owner chain leads to one of its top-levels), of builtins
-/// (mutated identically by every unit's whole-table sweeps), and of the
-/// root package (append-only decls merges). Sweep residue over *other*
-/// units' symbols is dropped — each unit's own delta re-creates it, and
-/// keeping it would let a stale value overwrite a re-typed dep's fresh one
-/// during table splicing.
-fn filter_unit_delta(
-    mut delta: SymbolDelta,
-    front: &SymbolTable,
-    top_set: &HashSet<SymbolId>,
-    builtin_len: u32,
-) -> SymbolDelta {
-    let owned_by_unit = |id: SymbolId| -> bool {
-        let mut cur = id;
-        for _ in 0..64 {
-            if top_set.contains(&cur) {
-                return true;
-            }
-            let owner = front.sym(cur).owner;
-            if !owner.exists() {
-                return false;
-            }
-            cur = owner;
-        }
-        false
-    };
-    delta.retain_dirty(|id, _| id.index() < builtin_len || owned_by_unit(id));
-    delta
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! [`crate::service`]); tenants compiling the same units should pay the
 //! pipeline once. The [`SharedArtifactStore`] is that exchange: a
 //! content-addressed map from [`ArtifactKey`] to a finished unit artifact
-//! (post-pipeline tree, per-group stats and findings, filtered symbol
+//! (post-pipeline tree, per-group stats and findings, symbol
 //! delta), shared behind an `Arc` by every session in the process.
 //!
 //! # Keying: why the id environment is part of the address
@@ -86,8 +86,8 @@ pub struct StoredArtifact {
     /// tree only, but key determinism (same key ⇒ same compile ⇒ same
     /// findings) makes replaying cached findings output-neutral.
     pub findings_by_group: Vec<Vec<Finding>>,
-    /// Filtered symbol delta (the unit's own symbols, builtins, root-pkg
-    /// appends — exactly what a session splices).
+    /// Symbol delta (the unit's new symbols, its writes to its own
+    /// symbols, root-pkg appends — exactly what a session splices).
     pub delta: SymbolDelta,
     /// `[lo, hi)` symbol-id range the delta's fresh symbols occupy. The
     /// consumer must reject ranges colliding with its live artifacts and

@@ -10,6 +10,7 @@ use crate::flags::Flags;
 use crate::names::{std_names, Name};
 use crate::span::Span;
 use crate::types::Type;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -88,6 +89,44 @@ pub struct SymbolData {
     pub decls: Vec<SymbolId>,
     /// Class only: type parameters.
     pub tparams: Vec<SymbolId>,
+    /// How many of the owning table's info transformers `info`/`parents`
+    /// already reflect: the stack height when the symbol was created or
+    /// last written. [`SymbolTable::sym`] applies the rest on read.
+    level: u32,
+}
+
+/// The two fields of a symbol an [`InfoTransformer`] rewrites.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SymbolInfo {
+    /// The new `info`.
+    pub info: Type,
+    /// The new `parents`.
+    pub parents: Vec<Type>,
+}
+
+/// A phase's rewrite of symbol signatures, applied lazily — the per-phase
+/// denotation transformers of the paper's host compiler (Dotty's
+/// `InfoTransformer`), in place of an eager sweep over every symbol.
+///
+/// A phase's transformer is registered on the table when its fusion group
+/// starts ([`SymbolTable::register_info_transformer`]). From then on
+/// [`SymbolTable::sym`] reads each symbol through the transformers
+/// registered since the symbol was created or last written, memoised per
+/// table. Symbols created or written later are already in post-phase form
+/// and read as stored — exactly what an eager sweep at registration time
+/// would have left behind.
+#[derive(Clone, Copy, Debug)]
+pub struct InfoTransformer {
+    /// Name of the registering phase.
+    pub phase: &'static str,
+    /// Maps a symbol, as the earlier transformers left it, to its info and
+    /// parents after this phase, or `None` when the phase leaves both
+    /// unchanged. Reads of other symbols go through `view`, the table's
+    /// current view — not the half-swept table an eager sweep in id order
+    /// would have seen. Erasure reads other symbols only through `widen`
+    /// (`TermRef`) and `lub` (union types), which no symbol info from the
+    /// frontend contains; `tests/info_transformers.rs` pins lazy ≡ eager.
+    pub transform: fn(view: &SymbolTable, sym: &SymbolData) -> Option<SymbolInfo>,
 }
 
 /// Well-known symbols created at table construction.
@@ -119,7 +158,9 @@ struct Shard {
     start: u32,
     /// Exclusive upper bound on ids this shard may allocate.
     capacity: u32,
-    syms: Vec<SymbolData>,
+    /// `Arc`-shared so adopting a delta (and cloning a table or a delta)
+    /// shares the shard instead of copying its symbols.
+    syms: Arc<Vec<SymbolData>>,
 }
 
 impl Shard {
@@ -153,17 +194,20 @@ pub struct ShardGrowth {
     pub capacity: u32,
 }
 
-/// Everything a parallel-compilation worker did to its forked
-/// [`SymbolTable`], packaged for the deterministic merge back into the
-/// origin table: the shards of newly created symbols (globally unique ids,
-/// adopted verbatim; a primary shard plus any chained overflow shards) and
-/// the base symbols it mutated (fork-time snapshot + final value, merged
-/// field-wise with append-aware `decls` handling).
+/// Everything a worker did to its forked [`SymbolTable`], packaged for the
+/// deterministic merge back into the origin table: the shards of newly
+/// created symbols (globally unique ids, adopted verbatim; a primary shard
+/// plus any chained overflow shards), the pre-fork symbols it wrote, and
+/// the info-transformer stack its values are relative to.
 #[derive(Clone)]
 pub struct SymbolDelta {
     shards: Vec<Shard>,
-    /// `(id, fork-time snapshot, final value)`, ascending by id.
+    /// `(id, fork-time view, final value)`, ascending by id. Both values
+    /// are in the form the full `transformers` stack gives them, so a
+    /// field-wise comparison sees only the worker's real writes.
     dirty: Vec<(SymbolId, SymbolData, SymbolData)>,
+    /// The worker's info-transformer stack at the end of its run.
+    transformers: Vec<InfoTransformer>,
 }
 
 impl SymbolDelta {
@@ -183,39 +227,72 @@ impl SymbolDelta {
             .unwrap_or(0)
     }
 
-    /// Looks up a symbol **created by this delta** (i.e. living in one of
-    /// its shards); `None` for pre-fork ids.
-    pub fn new_symbol(&self, id: SymbolId) -> Option<&SymbolData> {
-        find_shard(&self.shards, id.index()).map(|at| {
-            let sh = &self.shards[at];
-            &sh.syms[(id.index() - sh.start) as usize]
-        })
-    }
-
-    /// The *final* value this delta records for a mutated pre-fork symbol,
-    /// or `None` if the fork never wrote it.
-    pub fn dirty_final(&self, id: SymbolId) -> Option<&SymbolData> {
-        self.dirty
-            .binary_search_by_key(&id, |(d, _, _)| *d)
-            .ok()
-            .map(|at| &self.dirty[at].2)
-    }
-
-    /// The dirty entries — mutated pre-fork symbols — as `(id, final
-    /// value)` pairs, ascending by id.
+    /// The dirty entries — pre-fork symbols the worker wrote — as `(id,
+    /// final value)` pairs, ascending by id.
     pub fn dirty_entries(&self) -> impl Iterator<Item = (SymbolId, &SymbolData)> {
         self.dirty.iter().map(|(id, _, fin)| (*id, fin))
     }
+}
 
-    /// Drops every dirty (mutated pre-fork symbol) entry for which `keep`
-    /// returns false; `keep` receives the id and the recorded final value.
-    /// Compile sessions use this to discard a cached unit's whole-table
-    /// sweep residue over *other* units' symbols — entries that would go
-    /// stale (and poison a later table rebuild) as soon as those units are
-    /// re-typed. New-symbol shards are never filtered: their ids are born
-    /// unit-private.
-    pub fn retain_dirty(&mut self, mut keep: impl FnMut(SymbolId, &SymbolData) -> bool) {
-        self.dirty.retain(|(id, _, fin)| keep(*id, fin));
+/// Per-table memo of the transformer view [`SymbolTable::sym`] returns for
+/// symbols older than the newest transformer: one region of cells per id
+/// range that existed at the last registration (the base arena, then each
+/// shard), each cell filled on first read. A cell holds `None` when the
+/// pending transformers leave the symbol unchanged. Regions allocate their
+/// cells on first use, so forking or cloning a table stays O(1) in its
+/// size; a clone starts with empty cells.
+#[derive(Default)]
+struct ViewMemo {
+    /// Ascending by `start`; the base arena's region (start 0) comes first.
+    regions: Vec<MemoRegion>,
+}
+
+/// One symbol's memoised view: `None` when the pending transformers leave
+/// the stored data unchanged.
+type ViewCell = OnceCell<Option<Box<SymbolData>>>;
+
+struct MemoRegion {
+    start: u32,
+    len: u32,
+    cells: OnceCell<Box<[ViewCell]>>,
+}
+
+impl MemoRegion {
+    fn new(start: u32, len: u32) -> MemoRegion {
+        MemoRegion {
+            start,
+            len,
+            cells: OnceCell::new(),
+        }
+    }
+}
+
+impl ViewMemo {
+    /// The cell of `id`, if `id` lies in a region.
+    fn cell(&self, id: u32) -> Option<&ViewCell> {
+        let at = self.regions.partition_point(|r| r.start + r.len <= id);
+        let r = self.regions.get(at).filter(|r| id >= r.start)?;
+        let cells = r
+            .cells
+            .get_or_init(|| (0..r.len).map(|_| OnceCell::new()).collect());
+        Some(&cells[(id - r.start) as usize])
+    }
+
+    fn add_region(&mut self, start: u32, len: u32) {
+        let at = self.regions.partition_point(|r| r.start < start);
+        self.regions.insert(at, MemoRegion::new(start, len));
+    }
+}
+
+impl Clone for ViewMemo {
+    fn clone(&self) -> ViewMemo {
+        ViewMemo {
+            regions: self
+                .regions
+                .iter()
+                .map(|r| MemoRegion::new(r.start, r.len))
+                .collect(),
+        }
     }
 }
 
@@ -236,6 +313,10 @@ impl SymbolDelta {
 /// copies the touched region. The incremental compile session leans on
 /// this: every `compile()` clones the pristine frontend table and splices
 /// cached per-unit deltas into the clone.
+///
+/// Phases that rewrite signatures register [`InfoTransformer`]s instead of
+/// sweeping the table; reads then see the transformed view (see
+/// [`SymbolTable::register_info_transformer`]).
 #[derive(Clone)]
 pub struct SymbolTable {
     /// The base arena. `Arc`-shared so [`SymbolTable::fork_for_worker`] is
@@ -262,6 +343,14 @@ pub struct SymbolTable {
     /// fork-time snapshot a [`SymbolDelta`] needs *is* the frozen base
     /// value. `None` on ordinary tables.
     overlay: Option<BTreeMap<u32, SymbolData>>,
+    /// Registered info transformers, oldest first. Forks inherit the
+    /// stack; [`SymbolTable::adopt`] extends it to a delta's.
+    transformers: Vec<InfoTransformer>,
+    /// Memo of the transformer view, reset at every registration.
+    /// Boxed: an inline cell would make `&SymbolTable` mutable in
+    /// place, which stops the compiler from keeping the hot fields of
+    /// `sym` in registers across calls.
+    view: Box<ViewMemo>,
 }
 
 impl SymbolTable {
@@ -279,6 +368,7 @@ impl SymbolTable {
                 parents: Vec::new(),
                 decls: Vec::new(),
                 tparams: Vec::new(),
+                level: 0,
             }]),
             builtins: Builtins {
                 root_pkg: SymbolId::NONE,
@@ -293,6 +383,8 @@ impl SymbolTable {
             growth: None,
             adopted: Arc::new(Vec::new()),
             overlay: None,
+            transformers: Vec::new(),
+            view: Box::default(),
         };
         let root = tab.alloc(SymbolData {
             name: std_names::root_pkg(),
@@ -304,6 +396,7 @@ impl SymbolTable {
             parents: Vec::new(),
             decls: Vec::new(),
             tparams: Vec::new(),
+            level: 0,
         });
         tab.builtins.root_pkg = root;
 
@@ -369,6 +462,7 @@ impl SymbolTable {
                     parents: Vec::new(),
                     decls: Vec::new(),
                     tparams: Vec::new(),
+                    level: 0,
                 });
                 tparams.push(tp);
             }
@@ -382,6 +476,7 @@ impl SymbolTable {
                 parents: Vec::new(),
                 decls: Vec::new(),
                 tparams: Vec::new(),
+                level: 0,
             });
             let apply_info = Type::Method {
                 params: vec![tparams.iter().map(|&tp| Type::TypeParam(tp)).collect()],
@@ -433,11 +528,9 @@ impl SymbolTable {
     /// Every resolvable symbol id except the `NONE` sentinel, ascending:
     /// the base arena, then adopted shards, then this table's own shards
     /// (a fork's own shards always start above every shard it inherited
-    /// and chain upward, so this chain *is* ascending id order — the
-    /// deterministic sweep order the parallel-determinism guarantee relies
-    /// on). Whole-table sweeps (`ElimByName`, `Erasure`, `Flatten`) must
-    /// use this rather than `1..len()` — ids are **not** contiguous once a
-    /// table has a worker shard.
+    /// and chain upward, so this chain *is* ascending id order). Use this
+    /// rather than `1..len()` to visit every symbol — ids are **not**
+    /// contiguous once a table has a worker shard.
     pub fn ids(&self) -> impl Iterator<Item = SymbolId> + '_ {
         let base = 1..self.syms.len() as u32;
         let own = self
@@ -471,6 +564,72 @@ impl SymbolTable {
         Arc::ptr_eq(&self.syms, &other.syms) && Arc::ptr_eq(&self.adopted, &other.adopted)
     }
 
+    /// The registered info transformers, oldest first.
+    pub fn info_transformers(&self) -> &[InfoTransformer] {
+        &self.transformers
+    }
+
+    /// Registers `t` on top of the transformer stack. Every symbol that
+    /// exists now reads through `t` from here on — as if `t` had swept the
+    /// table in this instant — while symbols created or written later are
+    /// stored in post-`t` form. Resets the view memo: O(regions), not
+    /// O(symbols); no symbol is touched until it is read.
+    pub fn register_info_transformer(&mut self, t: InfoTransformer) {
+        self.transformers.push(t);
+        let mut view = ViewMemo::default();
+        view.add_region(0, self.syms.len() as u32);
+        for s in self.adopted.iter().chain(self.shards.iter()) {
+            view.add_region(s.start, s.syms.len() as u32);
+        }
+        *self.view = view;
+    }
+
+    /// Extends the stack to `stack` where `stack` is longer. The two must
+    /// agree on their common prefix (compared by phase name); a shorter
+    /// `stack` comes from a worker cut short at a group boundary by the
+    /// compile deadline, whose compile fails anyway.
+    fn extend_transformers(&mut self, stack: &[InfoTransformer]) {
+        let common = self.transformers.len().min(stack.len());
+        assert!(
+            stack[..common]
+                .iter()
+                .zip(&self.transformers)
+                .all(|(a, b)| a.phase == b.phase),
+            "delta's info-transformer stack disagrees with the table's"
+        );
+        for t in &stack[common..] {
+            self.register_info_transformer(*t);
+        }
+    }
+
+    /// `d` as the full transformer stack shows it, owned and marked
+    /// current.
+    fn current_form(&self, d: &SymbolData) -> SymbolData {
+        let mut out = match self.transformed(d) {
+            Some(t) => *t,
+            None => d.clone(),
+        };
+        out.level = self.transformers.len() as u32;
+        out
+    }
+
+    /// Applies the transformers `d` has not seen yet; `None` when they
+    /// leave it unchanged.
+    fn transformed(&self, d: &SymbolData) -> Option<Box<SymbolData>> {
+        let mut out: Option<Box<SymbolData>> = None;
+        for t in &self.transformers[d.level as usize..] {
+            if let Some(new) = (t.transform)(self, out.as_deref().unwrap_or(d)) {
+                let o = out.get_or_insert_with(|| Box::new(d.clone()));
+                o.info = new.info;
+                o.parents = new.parents;
+            }
+        }
+        if let Some(o) = &mut out {
+            o.level = self.transformers.len() as u32;
+        }
+        out
+    }
+
     /// Forks a worker-private table for parallel compilation in **O(1)**:
     /// the fork aliases the origin's frozen base arena and adopted shards
     /// (no symbol is copied), *new* allocations receive ids in
@@ -478,8 +637,10 @@ impl SymbolTable {
     /// when the primary shard fills — and mutations of pre-fork symbols go
     /// to a private copy-on-write overlay, so every worker's ids stay
     /// globally unique and every worker's writes stay invisible to its
-    /// siblings without coordination. Ship the result back through
-    /// [`SymbolTable::into_delta`] / [`SymbolTable::adopt`].
+    /// siblings without coordination. The fork inherits the origin's info
+    /// transformers; transformers it registers itself stay private until
+    /// the merge. Ship the result back through [`SymbolTable::into_delta`]
+    /// / [`SymbolTable::adopt`].
     ///
     /// The origin table must not allocate or mutate symbols while forks are
     /// alive (the parallel scheduler forks before spawning workers and
@@ -509,11 +670,13 @@ impl SymbolTable {
             shards: vec![Shard {
                 start,
                 capacity,
-                syms: Vec::new(),
+                syms: Arc::default(),
             }],
             growth: Some(growth),
             adopted: Arc::clone(&self.adopted),
             overlay: Some(BTreeMap::new()),
+            transformers: self.transformers.clone(),
+            view: self.view.clone(),
         }
     }
 
@@ -535,40 +698,52 @@ impl SymbolTable {
     }
 
     /// Consumes a worker fork into the delta its origin table needs for the
-    /// merge: the shards of new symbols plus every overlay mutation as a
-    /// `(fork snapshot, final value)` pair. The snapshot is read straight
-    /// from the shared frozen base — it *is* the fork-time value, because
-    /// the base never changes while a fork is alive.
+    /// merge: the shards of new symbols, every overlay write as a `(fork
+    /// snapshot, final value)` pair, and the fork's transformer stack. Both
+    /// values of a pair are brought to the full stack's form, so the merge
+    /// compares like with like: the snapshot is the frozen base value — it
+    /// *is* the fork-time value, because the base never changes while a
+    /// fork is alive — seen through every transformer the fork registered.
     ///
     /// # Panics
     ///
     /// Panics if the table is not a worker fork.
     pub fn into_delta(mut self) -> SymbolDelta {
-        let overlay = self.overlay.take().expect("into_delta on a non-fork table");
+        let overlay = self
+            .overlay
+            .as_ref()
+            .expect("into_delta on a non-fork table");
+        let dirty = overlay
+            .iter()
+            .map(|(&id, fin)| {
+                let fork = self.current_form(self.pre_fork_sym(SymbolId(id)));
+                (SymbolId(id), fork, self.current_form(fin))
+            })
+            .collect();
         let shards = std::mem::take(&mut self.shards)
             .into_iter()
             .filter(|s| !s.syms.is_empty())
             .collect();
-        let dirty = overlay
-            .into_iter()
-            .map(|(id, fin)| {
-                let fork = self.pre_fork_sym(SymbolId(id)).clone();
-                (SymbolId(id), fork, fin)
-            })
-            .collect();
-        SymbolDelta { shards, dirty }
+        SymbolDelta {
+            shards,
+            dirty,
+            transformers: std::mem::take(&mut self.transformers),
+        }
     }
 
     /// Merges one worker's [`SymbolDelta`] back in. Call once per worker
     /// fork, in unit order (forks own contiguous unit chunks, so chunk
     /// order *is* unit order); the merge is then deterministic:
     ///
-    /// * the shards of worker-created symbols are adopted verbatim — their
-    ///   ids were globally unique from birth, so trees referencing them
-    ///   resolve with no rewriting;
+    /// * the table's info-transformer stack is extended to the delta's,
+    ///   so symbols the worker never wrote read exactly as they did in
+    ///   the worker;
+    /// * the shards of worker-created symbols are adopted verbatim (shared,
+    ///   not copied) — their ids were globally unique from birth, so trees
+    ///   referencing them resolve with no rewriting;
     /// * mutated pre-fork symbols (base arena or previously adopted shards)
     ///   merge field-wise against the fork snapshot: only fields the worker
-    ///   actually changed overwrite, and a `decls` list that grew by
+    ///   actually changed are cloned in, and a `decls` list that grew by
     ///   appends re-appends just the new ids (preserving appends merged
     ///   from earlier workers); a reordered/rewritten list replaces
     ///   wholesale.
@@ -585,9 +760,10 @@ impl SymbolTable {
     /// names. Reconstructing the exact sequential interleaving would need
     /// per-(group, unit) deltas; do that before adding any consumer that
     /// reads shared-owner decls order.
-    pub fn adopt(&mut self, delta: SymbolDelta) {
-        for (id, fork, fin) in delta.dirty {
-            let cur = self.sym_mut(id);
+    pub fn adopt(&mut self, delta: &SymbolDelta) {
+        self.extend_transformers(&delta.transformers);
+        for (id, fork, fin) in &delta.dirty {
+            let cur = self.sym_mut(*id);
             if fin.name != fork.name {
                 cur.name = fin.name;
             }
@@ -601,33 +777,40 @@ impl SymbolTable {
                 cur.kind = fin.kind;
             }
             if fin.info != fork.info {
-                cur.info = fin.info;
+                cur.info = fin.info.clone();
             }
             if fin.span != fork.span {
                 cur.span = fin.span;
             }
             if fin.parents != fork.parents {
-                cur.parents = fin.parents;
+                cur.parents = fin.parents.clone();
             }
             if fin.tparams != fork.tparams {
-                cur.tparams = fin.tparams;
+                cur.tparams = fin.tparams.clone();
             }
             if fin.decls.len() >= fork.decls.len()
                 && fin.decls[..fork.decls.len()] == fork.decls[..]
             {
                 cur.decls.extend_from_slice(&fin.decls[fork.decls.len()..]);
             } else if fin.decls != fork.decls {
-                cur.decls = fin.decls;
+                cur.decls = fin.decls.clone();
             }
         }
-        if delta.shards.iter().any(|s| !s.syms.is_empty()) {
-            let adopted = Arc::make_mut(&mut self.adopted);
-            adopted.extend(delta.shards.into_iter().filter(|s| !s.syms.is_empty()));
-            adopted.sort_by_key(|s| s.start);
+        if delta.shards.is_empty() {
+            return;
+        }
+        let adopted = Arc::make_mut(&mut self.adopted);
+        adopted.extend(delta.shards.iter().cloned());
+        adopted.sort_by_key(|s| s.start);
+        if !self.transformers.is_empty() {
+            for s in &delta.shards {
+                self.view.add_region(s.start, s.syms.len() as u32);
+            }
         }
     }
 
-    fn alloc(&mut self, data: SymbolData) -> SymbolId {
+    fn alloc(&mut self, mut data: SymbolData) -> SymbolId {
+        data.level = self.transformers.len() as u32;
         let owner = data.owner;
         let id = if self.overlay.is_some() {
             // Worker fork: allocate in the current own shard, chaining a
@@ -646,12 +829,12 @@ impl SymbolTable {
                 self.shards.push(Shard {
                     start,
                     capacity: g.capacity,
-                    syms: Vec::new(),
+                    syms: Arc::default(),
                 });
             }
             let sh = self.shards.last_mut().expect("shard chained above");
             let id = SymbolId(sh.start + sh.syms.len() as u32);
-            sh.syms.push(data);
+            Arc::make_mut(&mut sh.syms).push(data);
             id
         } else {
             let id = SymbolId(self.syms.len() as u32);
@@ -681,6 +864,7 @@ impl SymbolTable {
             parents: Vec::new(),
             decls: Vec::new(),
             tparams: Vec::new(),
+            level: 0,
         })
     }
 
@@ -703,6 +887,7 @@ impl SymbolTable {
             parents,
             decls: Vec::new(),
             tparams,
+            level: 0,
         })
     }
 
@@ -718,6 +903,7 @@ impl SymbolTable {
             parents: Vec::new(),
             decls: Vec::new(),
             tparams: Vec::new(),
+            level: 0,
         })
     }
 
@@ -733,6 +919,7 @@ impl SymbolTable {
             parents: Vec::new(),
             decls: Vec::new(),
             tparams: Vec::new(),
+            level: 0,
         })
     }
 
@@ -748,18 +935,35 @@ impl SymbolTable {
             parents: Vec::new(),
             decls: Vec::new(),
             tparams: Vec::new(),
+            level: 0,
         })
     }
 
-    /// Read access to a symbol's data. On a worker fork, mutated pre-fork
-    /// symbols resolve from the copy-on-write overlay; everything else
-    /// reads the shared frozen base.
+    /// Read access to a symbol's data, as the registered info transformers
+    /// show it. On a worker fork, mutated pre-fork symbols resolve from the
+    /// copy-on-write overlay; everything else reads the shared frozen base.
+    /// A symbol older than the newest transformer resolves through the
+    /// per-table view memo; on a table without transformers the only added
+    /// cost is one comparison.
     ///
     /// # Panics
     ///
     /// Panics if `id` is `NONE` or out of range.
     #[inline]
     pub fn sym(&self, id: SymbolId) -> &SymbolData {
+        let d = self.stored(id);
+        if d.level as usize == self.transformers.len() {
+            d
+        } else {
+            self.view_of(id, d)
+        }
+    }
+
+    /// The stored data of `id`, before any pending transformer. Only
+    /// `info` and `parents` can be pending: the table's own lookups of
+    /// other fields (names, owners, decls) read here, skipping the view.
+    #[inline]
+    fn stored(&self, id: SymbolId) -> &SymbolData {
         assert!(id.exists(), "dereferencing SymbolId::NONE");
         if let Some(ov) = &self.overlay {
             if let Some(d) = ov.get(&id.0) {
@@ -772,6 +976,19 @@ impl SymbolTable {
         } else {
             self.shard_sym(id)
         }
+    }
+
+    /// The memoised transformer view of `stored`, the stored data of `id`.
+    /// Kept out of line so `sym` stays small at its many inlined call sites.
+    #[inline(never)]
+    fn view_of<'a>(&'a self, id: SymbolId, stored: &'a SymbolData) -> &'a SymbolData {
+        let cell = self
+            .view
+            .cell(id.0)
+            .expect("a symbol older than the newest info transformer has a view cell");
+        cell.get_or_init(|| self.transformed(stored))
+            .as_deref()
+            .unwrap_or(stored)
     }
 
     /// Out-of-base lookup: the table's own shards, then adopted shards.
@@ -789,19 +1006,30 @@ impl SymbolTable {
         }
     }
 
-    /// Mutable access to a symbol's data. On a worker fork, the first
-    /// mutation of any pre-fork symbol — base arena **or** a shard adopted
-    /// from an earlier parallel run — copies it into the fork's private
-    /// overlay and mutates the copy; the shared frozen base is never
-    /// written, which is what makes the O(1) fork sound and gives
+    /// Mutable access to a symbol's data. A symbol older than the newest
+    /// info transformer is first brought to the form [`SymbolTable::sym`]
+    /// shows, so the write lands on the post-phase value. On a worker
+    /// fork, the first mutation of any pre-fork symbol — base arena **or**
+    /// a shard adopted from an earlier parallel run — copies it into the
+    /// fork's private overlay and mutates the copy; the shared frozen base
+    /// is never written, which is what makes the O(1) fork sound and gives
     /// [`SymbolTable::into_delta`] its fork-time snapshots for free. Only
     /// the fork's own shards mutate in place (they ship back wholesale).
+    /// Reads never reach the overlay: a fork's delta holds exactly the
+    /// symbols it wrote.
     ///
     /// # Panics
     ///
     /// Panics if `id` is `NONE` or out of range.
     pub fn sym_mut(&mut self, id: SymbolId) -> &mut SymbolData {
-        assert!(id.exists(), "dereferencing SymbolId::NONE");
+        let current = {
+            let d = self.stored(id);
+            (d.level as usize != self.transformers.len()).then(|| {
+                let mut view = self.view_of(id, d).clone();
+                view.level = self.transformers.len() as u32;
+                view
+            })
+        };
         let SymbolTable {
             syms,
             shards,
@@ -809,14 +1037,13 @@ impl SymbolTable {
             overlay,
             ..
         } = self;
-        // Fork-created symbols (own shards) mutate in place on both table
-        // kinds; their ids are disjoint from everything pre-fork.
-        if let Some(sh) = shards.iter_mut().find(|s| s.contains(id.0)) {
-            return &mut sh.syms[(id.0 - sh.start) as usize];
-        }
-        if let Some(ov) = overlay {
+        let slot = if let Some(sh) = shards.iter_mut().find(|s| s.contains(id.0)) {
+            // Fork-created symbols (own shards) mutate in place on both
+            // table kinds; their ids are disjoint from everything pre-fork.
+            &mut Arc::make_mut(&mut sh.syms)[(id.0 - sh.start) as usize]
+        } else if let Some(ov) = overlay {
             // Worker fork touching a pre-fork symbol: copy-on-write.
-            return ov.entry(id.0).or_insert_with(|| {
+            ov.entry(id.0).or_insert_with(|| {
                 let i = id.0 as usize;
                 if i < syms.len() {
                     syms[i].clone()
@@ -831,22 +1058,25 @@ impl SymbolTable {
                         }
                     }
                 }
-            });
-        }
-        // Ordinary table: mutate the base arena or an adopted shard via
-        // copy-on-write `Arc`s (free while no fork aliases them).
-        let i = id.0 as usize;
-        if i < syms.len() {
-            return &mut Arc::make_mut(syms)[i];
-        }
-        let adopted = Arc::make_mut(adopted);
-        match find_shard(adopted, id.0) {
-            Some(at) => {
-                let sh = &mut adopted[at];
-                &mut sh.syms[(id.0 - sh.start) as usize]
+            })
+        } else if (id.0 as usize) < syms.len() {
+            // Ordinary table: mutate the base arena or an adopted shard via
+            // copy-on-write `Arc`s (free while no fork aliases them).
+            &mut Arc::make_mut(syms)[id.0 as usize]
+        } else {
+            let adopted = Arc::make_mut(adopted);
+            match find_shard(adopted, id.0) {
+                Some(at) => {
+                    let sh = &mut adopted[at];
+                    &mut Arc::make_mut(&mut sh.syms)[(id.0 - sh.start) as usize]
+                }
+                None => panic!("dangling {id:?} (not in base, own shard, or any adopted shard)"),
             }
-            None => panic!("dangling {id:?} (not in base, own shard, or any adopted shard)"),
+        };
+        if let Some(c) = current {
+            *slot = c;
         }
+        slot
     }
 
     /// The monomorphic class type of `cls` (empty type arguments).
@@ -860,7 +1090,7 @@ impl SymbolTable {
     /// The fully-applied class type of `cls` with its own type parameters as
     /// arguments (the "this type" for checking purposes).
     pub fn self_type(&self, cls: SymbolId) -> Type {
-        let tps = &self.sym(cls).tparams;
+        let tps = &self.stored(cls).tparams;
         Type::Class {
             sym: cls,
             targs: tps.iter().map(|&t| Type::TypeParam(t)).collect(),
@@ -870,10 +1100,10 @@ impl SymbolTable {
     /// The chain of owners from `sym` (exclusive) to the root.
     pub fn owner_chain(&self, sym: SymbolId) -> Vec<SymbolId> {
         let mut out = Vec::new();
-        let mut cur = self.sym(sym).owner;
+        let mut cur = self.stored(sym).owner;
         while cur.exists() {
             out.push(cur);
-            cur = self.sym(cur).owner;
+            cur = self.stored(cur).owner;
         }
         out
     }
@@ -882,10 +1112,10 @@ impl SymbolTable {
     pub fn enclosing_class(&self, sym: SymbolId) -> SymbolId {
         let mut cur = sym;
         while cur.exists() {
-            if self.sym(cur).kind == SymKind::Class {
+            if self.stored(cur).kind == SymKind::Class {
                 return cur;
             }
-            cur = self.sym(cur).owner;
+            cur = self.stored(cur).owner;
         }
         SymbolId::NONE
     }
@@ -1102,11 +1332,11 @@ impl SymbolTable {
 
     /// Looks up a declaration of `name` directly in `owner`.
     pub fn decl(&self, owner: SymbolId, name: Name) -> Option<SymbolId> {
-        self.sym(owner)
+        self.stored(owner)
             .decls
             .iter()
             .copied()
-            .find(|&d| self.sym(d).name == name)
+            .find(|&d| self.stored(d).name == name)
     }
 
     /// Member lookup on a type: walks the linearization of the underlying
@@ -1121,7 +1351,7 @@ impl SymbolTable {
                         let info = self.sym(d).info.clone();
                         let seen = match self.base_type(t, base) {
                             Some(Type::Class { targs, .. }) => {
-                                let tps = self.sym(base).tparams.clone();
+                                let tps = self.stored(base).tparams.clone();
                                 if tps.len() == targs.len() {
                                     info.subst(&tps, &targs)
                                 } else {
@@ -1190,7 +1420,7 @@ impl SymbolTable {
 
     /// All symbols whose owner is `owner` (snapshot).
     pub fn decls_of(&self, owner: SymbolId) -> Vec<SymbolId> {
-        self.sym(owner).decls.clone()
+        self.stored(owner).decls.clone()
     }
 
     /// Human-readable qualified name for diagnostics.
@@ -1198,12 +1428,12 @@ impl SymbolTable {
         if !sym.exists() {
             return "<none>".to_owned();
         }
-        let mut parts = vec![self.sym(sym).name.as_str().to_owned()];
+        let mut parts = vec![self.stored(sym).name.as_str().to_owned()];
         for o in self.owner_chain(sym) {
             if o == self.builtins.root_pkg || !o.exists() {
                 break;
             }
-            parts.push(self.sym(o).name.as_str().to_owned());
+            parts.push(self.stored(o).name.as_str().to_owned());
         }
         parts.reverse();
         parts.join(".")
@@ -1451,7 +1681,7 @@ mod tests {
         );
         assert_eq!(c.index(), base_len + 100, "shard ids start at the carve");
         fork.sym_mut(pkg).flags |= Flags::SYNTHETIC;
-        tab.adopt(fork.into_delta());
+        tab.adopt(&fork.into_delta());
         assert_eq!(tab.sym(c).name, Name::from("W1"), "shard adopted verbatim");
         assert!(
             tab.sym(pkg).flags.is(Flags::SYNTHETIC),
@@ -1466,7 +1696,7 @@ mod tests {
         let start2 = tab.id_ceiling() + 100;
         let mut fork2 = tab.fork_for_worker(start2, 50, roomy_growth(start2, 50));
         fork2.sym_mut(c).flags |= Flags::LIFTED;
-        tab.adopt(fork2.into_delta());
+        tab.adopt(&fork2.into_delta());
         assert!(
             tab.sym(c).flags.is(Flags::LIFTED),
             "adopted-shard mutation survives the merge"
@@ -1509,7 +1739,7 @@ mod tests {
         assert!(fork.sym(probe).flags.is(Flags::SYNTHETIC));
 
         // The origin resumes cheap in-place mutation after the fork dies.
-        tab.adopt(fork.into_delta());
+        tab.adopt(&fork.into_delta());
         assert!(tab.sym(probe).flags.is(Flags::SYNTHETIC), "merge lands");
     }
 
@@ -1554,7 +1784,7 @@ mod tests {
 
         // The merge adopts every chained shard; the origin resolves all of
         // them and `ids()` stays strictly ascending.
-        tab.adopt(fork.into_delta());
+        tab.adopt(&fork.into_delta());
         for (i, id) in made.iter().enumerate() {
             assert_eq!(tab.sym(*id).name, Name::intern(&format!("ov{i}")));
         }
@@ -1566,6 +1796,85 @@ mod tests {
         assert!(
             tab.id_ceiling() > made.iter().map(|s| s.index()).max().unwrap(),
             "ceiling covers overflow shards"
+        );
+    }
+
+    /// Rewrites `Int` infos to `Boolean` — a stand-in signature rewrite.
+    fn int_to_bool(_: &SymbolTable, d: &SymbolData) -> Option<SymbolInfo> {
+        (d.info == Type::Int).then(|| SymbolInfo {
+            info: Type::Boolean,
+            parents: d.parents.clone(),
+        })
+    }
+
+    const INT_TO_BOOL: InfoTransformer = InfoTransformer {
+        phase: "intToBool",
+        transform: int_to_bool,
+    };
+
+    #[test]
+    fn info_transformer_applies_to_older_symbols_only() {
+        let mut tab = SymbolTable::new();
+        let pkg = tab.builtins().root_pkg;
+        let old = tab.new_term(pkg, Name::from("old"), Flags::EMPTY, Type::Int);
+        tab.register_info_transformer(INT_TO_BOOL);
+        let young = tab.new_term(pkg, Name::from("young"), Flags::EMPTY, Type::Int);
+        assert_eq!(
+            tab.sym(old).info,
+            Type::Boolean,
+            "older symbols read through it"
+        );
+        assert_eq!(
+            tab.sym(young).info,
+            Type::Int,
+            "later symbols are post-phase already"
+        );
+        // A write lands on the transformed value and is read back as is.
+        tab.sym_mut(old).flags |= Flags::SYNTHETIC;
+        assert_eq!(tab.sym(old).info, Type::Boolean);
+        tab.sym_mut(old).info = Type::Int;
+        assert_eq!(
+            tab.sym(old).info,
+            Type::Int,
+            "writes are not transformed again"
+        );
+    }
+
+    #[test]
+    fn fork_delta_holds_only_writes_and_adopt_extends_the_stack() {
+        let mut tab = SymbolTable::new();
+        let pkg = tab.builtins().root_pkg;
+        let syms: Vec<SymbolId> = (0..50)
+            .map(|i| tab.new_term(pkg, Name::intern(&format!("s{i}")), Flags::EMPTY, Type::Int))
+            .collect();
+        let start = tab.id_ceiling() + 10;
+        let mut fork = tab.fork_for_worker(start, 100, roomy_growth(start + 100, 100));
+        fork.register_info_transformer(INT_TO_BOOL);
+        assert!(syms.iter().all(|&s| fork.sym(s).info == Type::Boolean));
+        fork.sym_mut(syms[3]).flags |= Flags::LIFTED;
+        let fresh = fork.new_term(pkg, Name::from("fresh"), Flags::EMPTY, Type::Int);
+        let delta = fork.into_delta();
+        let dirty: Vec<SymbolId> = delta.dirty_entries().map(|(id, _)| id).collect();
+        assert_eq!(dirty, vec![pkg, syms[3]], "reads never dirty a symbol");
+
+        let mut splice = tab.clone();
+        splice.adopt(&delta);
+        assert_eq!(
+            splice.info_transformers().len(),
+            1,
+            "adopt registers the stack"
+        );
+        assert!(syms.iter().all(|&s| splice.sym(s).info == Type::Boolean));
+        assert!(splice.sym(syms[3]).flags.is(Flags::LIFTED));
+        assert_eq!(
+            splice.sym(fresh).info,
+            Type::Int,
+            "fork-born symbols keep their form"
+        );
+        assert_eq!(
+            tab.sym(syms[0]).info,
+            Type::Int,
+            "the origin keeps no transformer"
         );
     }
 }

@@ -6,14 +6,13 @@
 //! assumes earlier phases finished whole units (rule 3). It therefore forms
 //! a fusion group of its own via `runs_after_groups_of`.
 
-use mini_ir::{Ctx, NodeKindSet, SymbolId, TreeKind, TreeRef, Type};
+use mini_ir::{
+    Ctx, InfoTransformer, NodeKindSet, SymbolData, SymbolInfo, SymbolTable, TreeKind, TreeRef, Type,
+};
 use miniphase::{MiniPhase, PhaseInfo};
 
 /// The type-erasure phase.
-#[derive(Default)]
-pub struct Erasure {
-    swept: bool,
-}
+pub struct Erasure;
 
 impl PhaseInfo for Erasure {
     fn name(&self) -> &str {
@@ -144,25 +143,14 @@ impl Erasure {
             span,
         )
     }
+}
 
-    fn sweep_symbols(&mut self, ctx: &mut Ctx) {
-        if self.swept {
-            return;
-        }
-        self.swept = true;
-        // `ids()` rather than `1..len()`: ids are not contiguous once the
-        // table carries a parallel-worker shard.
-        let ids: Vec<SymbolId> = ctx.symbols.ids().collect();
-        for id in ids {
-            let info = ctx.symbols.sym(id).info.clone();
-            let erased = ctx.symbols.erase(&info);
-            let parents = ctx.symbols.sym(id).parents.clone();
-            let eparents: Vec<Type> = parents.iter().map(|p| ctx.symbols.erase(p)).collect();
-            let d = ctx.symbols.sym_mut(id);
-            d.info = erased;
-            d.parents = eparents;
-        }
-    }
+/// `Erasure`'s info transformer: every signature and parent list erased
+/// ([`SymbolTable::erase`]).
+fn erasure_info(view: &SymbolTable, d: &SymbolData) -> Option<SymbolInfo> {
+    let info = view.erase(&d.info);
+    let parents: Vec<Type> = d.parents.iter().map(|p| view.erase(p)).collect();
+    (info != d.info || parents != d.parents).then_some(SymbolInfo { info, parents })
 }
 
 macro_rules! impl_erasure_hooks {
@@ -178,8 +166,11 @@ macro_rules! impl_erasure_hooks {
                 vec!["patternMatcher", "elimByName", "seqLiterals"]
             }
 
-            fn prepare_unit(&mut self, ctx: &mut Ctx, _unit_tree: &TreeRef) {
-                self.sweep_symbols(ctx);
+            fn info_transformer(&self) -> Option<InfoTransformer> {
+                Some(InfoTransformer {
+                    phase: "erasure",
+                    transform: erasure_info,
+                })
             }
 
             fn check_post_condition(&self, _ctx: &Ctx, t: &TreeRef) -> Result<(), String> {

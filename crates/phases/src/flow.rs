@@ -2,7 +2,8 @@
 //! flagship prepare-using phase, §4.1) and `ElimByName`.
 
 use mini_ir::{
-    std_names, Ctx, Flags, NodeKind, NodeKindSet, SymKind, SymbolId, TreeKind, TreeRef, Type,
+    std_names, Ctx, Flags, InfoTransformer, NodeKind, NodeKindSet, SymKind, SymbolData, SymbolId,
+    SymbolInfo, SymbolTable, TreeKind, TreeRef, Type,
 };
 use miniphase::{MiniPhase, PhaseInfo};
 
@@ -339,10 +340,7 @@ impl MiniPhase for LiftTry {
 /// Expands by-name parameters and arguments (Dotty's `ElimByName`):
 /// `=> T` parameters become `() => T` thunks, arguments are wrapped in
 /// zero-parameter lambdas, and parameter uses become `.apply()` calls.
-#[derive(Default)]
-pub struct ElimByName {
-    swept: bool,
-}
+pub struct ElimByName;
 
 impl PhaseInfo for ElimByName {
     fn name(&self) -> &str {
@@ -377,26 +375,36 @@ fn strip_by_name(t: &Type) -> Type {
     }
 }
 
+fn has_by_name(t: &Type) -> bool {
+    match t {
+        Type::ByName(_) => true,
+        Type::Method { params, ret } => {
+            params.iter().flatten().any(has_by_name) || has_by_name(ret)
+        }
+        Type::Poly { underlying, .. } => has_by_name(underlying),
+        _ => false,
+    }
+}
+
+/// `ElimByName`'s info transformer: `=> T` becomes `() => T` in every
+/// signature.
+fn elim_by_name_info(_: &SymbolTable, d: &SymbolData) -> Option<SymbolInfo> {
+    has_by_name(&d.info).then(|| SymbolInfo {
+        info: strip_by_name(&d.info),
+        parents: d.parents.clone(),
+    })
+}
+
 impl MiniPhase for ElimByName {
     fn transforms(&self) -> NodeKindSet {
         NodeKindSet::of(NodeKind::Apply).with(NodeKind::Ident)
     }
 
-    fn prepare_unit(&mut self, ctx: &mut Ctx, _unit_tree: &TreeRef) {
-        if self.swept {
-            return;
-        }
-        self.swept = true;
-        // `ids()` rather than `1..len()`: ids are not contiguous once the
-        // table carries a parallel-worker shard.
-        let ids: Vec<SymbolId> = ctx.symbols.ids().collect();
-        for id in ids {
-            let info = ctx.symbols.sym(id).info.clone();
-            let stripped = strip_by_name(&info);
-            if stripped != info {
-                ctx.symbols.sym_mut(id).info = stripped;
-            }
-        }
+    fn info_transformer(&self) -> Option<InfoTransformer> {
+        Some(InfoTransformer {
+            phase: "elimByName",
+            transform: elim_by_name_info,
+        })
     }
 
     fn transform_apply(&mut self, ctx: &mut Ctx, tree: &TreeRef) -> TreeRef {
@@ -474,16 +482,6 @@ impl MiniPhase for ElimByName {
     }
 
     fn check_post_condition(&self, _ctx: &Ctx, t: &TreeRef) -> Result<(), String> {
-        fn has_by_name(t: &Type) -> bool {
-            match t {
-                Type::ByName(_) => true,
-                Type::Method { params, ret } => {
-                    params.iter().flatten().any(has_by_name) || has_by_name(ret)
-                }
-                Type::Poly { underlying, .. } => has_by_name(underlying),
-                _ => false,
-            }
-        }
         if has_by_name(t.tpe()) {
             return Err("by-name type survived ElimByName".into());
         }

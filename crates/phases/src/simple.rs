@@ -4,11 +4,10 @@
 
 use crate::util::OwnerStack;
 use mini_ir::{
-    std_names, Constant, Ctx, Flags, Name, NodeKind, NodeKindSet, SymKind, SymbolId, TreeKind,
-    TreeRef, Type,
+    std_names, Constant, Ctx, Flags, InfoTransformer, Name, NodeKind, NodeKindSet, SymKind,
+    SymbolData, SymbolId, SymbolInfo, SymbolTable, TreeKind, TreeRef, Type,
 };
 use miniphase::{MiniPhase, PhaseInfo};
-use std::collections::HashMap;
 
 // ======================= FirstTransform ================================
 
@@ -290,10 +289,7 @@ impl MiniPhase for InterceptedMethods {
 /// Rewrites vararg parameters and arguments (Dotty's `ElimRepeated`):
 /// `T*` parameters become arrays, trailing argument groups become
 /// `SeqLiteral`s.
-#[derive(Default)]
-pub struct ElimRepeated {
-    swept: bool,
-}
+pub struct ElimRepeated;
 
 impl PhaseInfo for ElimRepeated {
     fn name(&self) -> &str {
@@ -304,54 +300,63 @@ impl PhaseInfo for ElimRepeated {
     }
 }
 
+fn has_repeated(t: &Type) -> bool {
+    match t {
+        Type::Repeated(_) => true,
+        Type::Method { params, ret } => {
+            params.iter().flatten().any(has_repeated) || has_repeated(ret)
+        }
+        Type::Poly { underlying, .. } => has_repeated(underlying),
+        _ => false,
+    }
+}
+
+/// `ElimRepeated`'s info transformer: `Repeated(T)` becomes `Array(T)` in
+/// every signature.
+fn elim_repeated_info(_: &SymbolTable, d: &SymbolData) -> Option<SymbolInfo> {
+    fn strip(t: &Type) -> Type {
+        match t {
+            Type::Repeated(e) => Type::Array(Box::new(strip(e))),
+            Type::Method { params, ret } => Type::Method {
+                params: params
+                    .iter()
+                    .map(|ps| ps.iter().map(strip).collect())
+                    .collect(),
+                ret: Box::new(strip(ret)),
+            },
+            Type::Poly {
+                tparams,
+                underlying,
+            } => Type::Poly {
+                tparams: tparams.clone(),
+                underlying: Box::new(strip(underlying)),
+            },
+            other => other.clone(),
+        }
+    }
+    has_repeated(&d.info).then(|| SymbolInfo {
+        info: strip(&d.info),
+        parents: d.parents.clone(),
+    })
+}
+
 impl MiniPhase for ElimRepeated {
     fn transforms(&self) -> NodeKindSet {
         NodeKindSet::of(NodeKind::Apply)
     }
 
-    fn prepare_unit(&mut self, ctx: &mut Ctx, _unit_tree: &TreeRef) {
-        if self.swept {
-            return;
-        }
-        self.swept = true;
-        // Signature sweep: Repeated(T) becomes Array(T) in every symbol.
-        fn strip(t: &Type) -> Type {
-            match t {
-                Type::Repeated(e) => Type::Array(Box::new(strip(e))),
-                Type::Method { params, ret } => Type::Method {
-                    params: params
-                        .iter()
-                        .map(|ps| ps.iter().map(strip).collect())
-                        .collect(),
-                    ret: Box::new(strip(ret)),
-                },
-                Type::Poly {
-                    tparams,
-                    underlying,
-                } => Type::Poly {
-                    tparams: tparams.clone(),
-                    underlying: Box::new(strip(underlying)),
-                },
-                other => other.clone(),
-            }
-        }
-        // `ids()` rather than `1..len()`: ids are not contiguous once the
-        // table carries a parallel-worker shard.
-        let ids: Vec<SymbolId> = ctx.symbols.ids().collect();
-        for id in ids {
-            let info = ctx.symbols.sym(id).info.clone();
-            let stripped = strip(&info);
-            if stripped != info {
-                ctx.symbols.sym_mut(id).info = stripped;
-            }
-        }
+    fn info_transformer(&self) -> Option<InfoTransformer> {
+        Some(InfoTransformer {
+            phase: "elimRepeated",
+            transform: elim_repeated_info,
+        })
     }
 
     fn transform_apply(&mut self, ctx: &mut Ctx, tree: &TreeRef) -> TreeRef {
         let TreeKind::Apply { fun, args } = tree.kind() else {
             return tree.clone();
         };
-        // The tree type of `fun` still carries the pre-sweep signature.
+        // The tree type of `fun` still carries the pre-phase signature.
         let Type::Method { params, ret } = fun.tpe() else {
             return tree.clone();
         };
@@ -379,7 +384,7 @@ impl MiniPhase for ElimRepeated {
             )
         };
         new_args.push(wrapped);
-        // Retype the function tree with the swept signature.
+        // Retype the function tree with the post-phase signature.
         let mut new_ps: Vec<Type> = ps[..fixed].to_vec();
         new_ps.push(Type::Array(elem.clone()));
         let new_fun = ctx.retyped(
@@ -399,16 +404,6 @@ impl MiniPhase for ElimRepeated {
     }
 
     fn check_post_condition(&self, _ctx: &Ctx, t: &TreeRef) -> Result<(), String> {
-        fn has_repeated(t: &Type) -> bool {
-            match t {
-                Type::Repeated(_) => true,
-                Type::Method { params, ret } => {
-                    params.iter().flatten().any(has_repeated) || has_repeated(ret)
-                }
-                Type::Poly { underlying, .. } => has_repeated(underlying),
-                _ => false,
-            }
-        }
         if has_repeated(t.tpe()) {
             return Err("repeated parameter type survived ElimRepeated".into());
         }
@@ -717,26 +712,6 @@ impl MiniPhase for RestoreScopes {
             }
         }
         Ok(())
-    }
-}
-
-/// Tracks per-method signature rewrites keyed by symbol (shared by phases
-/// that change signatures during their symbol sweep and later need the
-/// original shape at call sites).
-#[derive(Default, Debug)]
-pub struct SigMemo {
-    map: HashMap<SymbolId, Type>,
-}
-
-impl SigMemo {
-    /// Records `sym`'s pre-rewrite info.
-    pub fn remember(&mut self, sym: SymbolId, original: Type) {
-        self.map.insert(sym, original);
-    }
-
-    /// The recorded original info, if any.
-    pub fn original(&self, sym: SymbolId) -> Option<&Type> {
-        self.map.get(&sym)
     }
 }
 
