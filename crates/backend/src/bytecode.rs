@@ -12,10 +12,10 @@
 //! After all code is emitted, [`Program::link`] builds per-class dense
 //! dispatch tables ([`VmClass::vtable_slots`], indexed by slot) and dense
 //! field-resolution tables ([`VmClass::field_slots`], indexed by global
-//! field id) next to the original `HashMap`s. The VM's fast mode indexes
-//! the dense tables; its reference mode resolves the slot back to a `Name`
-//! and pays the original per-call `HashMap` probe, which keeps the old
-//! dispatch cost honestly measurable in the `exec` A/B bench.
+//! field id) next to the original `HashMap`s. The VM's fast engine indexes
+//! the dense tables; its reference engine resolves the slot back to a
+//! `Name` and pays the original per-call `HashMap` probe, which keeps the
+//! old dispatch cost honestly measurable in the `exec` A/B bench.
 
 use mini_ir::Name;
 use std::collections::HashMap;
@@ -78,16 +78,17 @@ pub enum Cmp {
 /// Every expression pushes exactly one value; statements are followed by
 /// `Pop`.
 ///
-/// The trailing variants never come out of codegen directly:
-/// [`Insn::LoadLoad`], [`Insn::LoadConst`], [`Insn::AddConst`],
-/// [`Insn::AddStore`], [`Insn::LoadCall`] and [`Insn::CmpBranch`] are
-/// **superinstructions** produced by the peephole pass
-/// ([`crate::codegen::fuse`]) over the hottest decoded pairs, and
-/// [`Insn::CallVirtualIC`] is the inline-cache rewrite of `CallVirtual`
-/// that the VM applies per call site when caches are enabled. Both
-/// rewrites are applied to a *prepared copy* of the code at VM
-/// construction; [`Function::code`] as stored in the [`Program`] stays
-/// plain so one linked program serves fast and reference execution alike.
+/// Codegen emits only the **base ISA**, which both VM engines execute.
+/// The trailing variants are not part of it: [`Insn::LoadLoad`],
+/// [`Insn::LoadConst`], [`Insn::AddConst`], [`Insn::AddStore`],
+/// [`Insn::LoadCall`] and [`Insn::CmpBranch`] are **superinstructions**
+/// produced by the peephole pass ([`crate::codegen::fuse`]) over the
+/// hottest decoded pairs, and [`Insn::CallVirtualIC`] is the inline-cache
+/// rewrite of `CallVirtual`. The fast engine applies both rewrites to a
+/// *prepared copy* of the code at VM construction; the reference engine
+/// runs [`Function::code`] as stored and traps on any non-base
+/// instruction. The [`Program`] stays plain, so one linked program serves
+/// both engines.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Insn {
     /// Push an integer constant.
@@ -245,7 +246,8 @@ pub struct VmClass {
     /// Global field id → local slot in this class's layout.
     pub field_resolve: std::collections::HashMap<u16, u16>,
     /// Virtual dispatch table, keyed by selector name. The VM's reference
-    /// mode probes this per call; fast mode uses [`VmClass::vtable_slots`].
+    /// engine probes this per call; the fast engine uses
+    /// [`VmClass::vtable_slots`].
     pub vtable: std::collections::HashMap<Name, FnId>,
     /// Dense dispatch table indexed by [`MethodSlot`]; built by
     /// [`Program::link`]. Empty until linked.

@@ -850,11 +850,12 @@ impl FnCompiler<'_, '_> {
 /// Jump operands and handler ranges are remapped to the compacted pc
 /// space.
 ///
-/// Codegen stores plain code in the [`Program`]; the VM applies this pass
-/// to a prepared copy when `VmOptions::superinstructions` is on, so a
-/// single linked program serves both fast and reference execution. Fused
-/// instructions charge fuel per constituent instruction, keeping
-/// out-of-fuel traps position-identical with the reference interpreter.
+/// Codegen stores plain code in the [`Program`]; the VM's fast engine
+/// applies this pass to its prepared copy unless `superinstructions` is
+/// off in its [`crate::VmEngine::Fast`] options, and the reference engine
+/// never sees fused code, so a single linked program serves both engines.
+/// Fused instructions charge fuel per constituent instruction, keeping
+/// out-of-fuel traps position-identical with the reference engine.
 pub fn fuse(code: &[Insn], handlers: &[Handler]) -> (Vec<Insn>, Vec<Handler>) {
     let n = code.len();
     let mut barrier = vec![false; n + 1];

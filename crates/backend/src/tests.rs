@@ -2,7 +2,7 @@
 //! frontend and phases).
 
 use crate::bytecode::*;
-use crate::vm::{Value, Vm, VmError, VmOptions};
+use crate::vm::{Value, Vm, VmError, VmOptions, MAX_ARRAY_LEN};
 use mini_ir::Name;
 use std::collections::HashMap;
 
@@ -89,7 +89,7 @@ fn loops_and_locals() {
 #[test]
 fn fusion_rewrites_hot_pairs_without_changing_results() {
     let p = sum_loop_program();
-    // Fast mode fuses Load;ConstInt and CmpLt;JumpIfFalse in the loop
+    // The fast engine fuses Load;ConstInt and CmpLt;JumpIfFalse in the loop
     // header; result and fuel-per-logical-insn accounting must not change.
     let mut fast = Vm::new(&p);
     let mut reference = Vm::with_options(&p, VmOptions::reference());
@@ -302,6 +302,51 @@ fn arrays_bounds_and_division_throw() {
 }
 
 #[test]
+fn oversized_arrays_trap_instead_of_allocating() {
+    // The size is guest data: past the cap it must be a structured trap in
+    // every configuration, never a host allocation attempt or panic.
+    for size in [1i64 << 60, MAX_ARRAY_LEN + 1] {
+        let p = prog(
+            vec![],
+            vec![fun(
+                "f",
+                0,
+                0,
+                vec![Insn::ConstInt(size), Insn::NewArray, Insn::Ret],
+            )],
+            Some(0),
+            vec![],
+        );
+        for (label, opts) in VmOptions::all() {
+            match Vm::with_options(&p, opts).run_main() {
+                Err(VmError::Trap(m)) => assert!(m.contains("MAX_ARRAY_LEN"), "{label}: {m}"),
+                other => panic!("{label}: expected trap for size {size}, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn reference_engine_traps_on_non_base_instructions() {
+    // Superinstructions only exist in the fast engine's prepared code.
+    let p = prog(
+        vec![],
+        vec![fun(
+            "f",
+            0,
+            1,
+            vec![Insn::LoadConst(0, 1), Insn::Add, Insn::Ret],
+        )],
+        Some(0),
+        vec![],
+    );
+    match Vm::with_options(&p, VmOptions::reference()).run_main() {
+        Err(VmError::Trap(m)) => assert!(m.contains("non-base instruction"), "{m}"),
+        other => panic!("expected trap, got {other:?}"),
+    }
+}
+
+#[test]
 fn println_is_captured_and_fuel_guards_loops() {
     let p = prog(
         vec![],
@@ -334,7 +379,7 @@ fn println_is_captured_and_fuel_guards_loops() {
 #[test]
 fn guest_recursion_traps_at_depth_budget_in_both_modes() {
     // f() calls itself forever: must degrade to a structured trap at the
-    // same guest depth in flat and recursive modes, never a host overflow.
+    // same guest depth in both engines, never a host overflow.
     let p = prog(
         vec![],
         vec![fun("f", 0, 0, vec![Insn::CallStatic(0, 0), Insn::Ret])],
@@ -359,7 +404,8 @@ fn guest_recursion_traps_at_depth_budget_in_both_modes() {
     }
     assert_eq!(msgs[0], msgs[1]);
 
-    // Default budget: deep recursion still traps (structured) in fast mode.
+    // Default budget: deep recursion still traps (structured) in the fast
+    // engine.
     let mut vm = Vm::new(&p);
     match vm.run_main() {
         Err(VmError::Trap(m)) => assert!(m.contains("max call depth"), "{m}"),

@@ -2,55 +2,58 @@
 //!
 //! # Execution design note
 //!
-//! The VM has two interpreters pinned byte-identical to each other by the
-//! `vm_equivalence` proptest, selected per feature by [`VmOptions`]:
+//! The VM has two engines, pinned byte-identical to each other by the
+//! `vm_equivalence` proptest and selected by [`VmOptions::engine`]:
 //!
-//! - **Reference mode** (`VmOptions::reference()`, all features off) is the
-//!   original interpreter: a recursive `invoke` that allocates a fresh
-//!   locals vector and operand stack per call, probes `HashMap<Name, FnId>`
-//!   vtables on every virtual/direct call, and resolves field ids through a
-//!   per-class `HashMap`. It is kept as the semantic oracle *and* as the
-//!   honest A/B baseline for the `exec` bench — it genuinely pays the old
-//!   per-call costs.
+//! - **Reference engine** ([`VmEngine::Reference`], built by
+//!   [`VmOptions::reference`]) is the original interpreter over the *base*
+//!   ISA — the instructions codegen emits. It reads [`Program::functions`]
+//!   directly, recurses on the host stack with a fresh locals vector and
+//!   operand stack per call, and dispatches by name: a `HashMap<Name,
+//!   FnId>` vtable probe per virtual/direct call and a per-class `HashMap`
+//!   probe per field access. Superinstructions and inline-cache call sites
+//!   are not base ISA; it traps on them. It is the semantic oracle and the
+//!   honest A/B baseline for the `exec` bench. Its match arms are written
+//!   independently of the fast engine's on purpose: an oracle that shares
+//!   code with the engine it checks cannot catch a bug in that code.
 //!
-//! - **Fast mode** (`VmOptions::fast()`, the default for [`Vm::new`])
-//!   layers three classic OO-VM optimizations, each independently
-//!   toggleable so ablations can be benchmarked and equivalence-tested:
+//! - **Fast engine** ([`VmEngine::Fast`], built by [`VmOptions::fast`], the
+//!   default for [`Vm::new`]) is a non-recursive dispatch loop over an
+//!   explicit frame stack (mirroring the middle end's iterative tree walk):
+//!   one shared locals arena and one shared operand stack with per-frame
+//!   base offsets, so calls reuse storage instead of allocating. Dispatch
+//!   indexes the dense [`VmClass::vtable_slots`] / [`VmClass::field_slots`]
+//!   tables built by [`Program::link`] — an array load instead of a hash
+//!   probe. It runs a *prepared copy* of the code, to which two classic
+//!   OO-VM rewrites apply; each can be switched off only to measure what it
+//!   buys ("fast − ic", "fast − fuse"):
 //!
-//!   1. *Link-time dispatch resolution* (`resolved_dispatch`): call sites
-//!      carry interned [`MethodSlot`] ids and dispatch indexes the dense
-//!      [`VmClass::vtable_slots`] / [`VmClass::field_slots`] tables built
-//!      by [`Program::link`] — an array load instead of a hash probe.
-//!   2. *Monomorphic inline caches* (`inline_caches`): at VM construction
-//!      every `CallVirtual` in the prepared code is rewritten to
-//!      `CallVirtualIC` with a per-site cache entry (`ClassId → FnId`,
-//!      hit/miss counted in [`VmStats`]). Monomorphic sites skip even the
-//!      dense-table load after the first call.
-//!   3. *Superinstructions* (`superinstructions`): the peephole pass
+//!   1. *Monomorphic inline caches* (`inline_caches`): every `CallVirtual`
+//!      is rewritten to `CallVirtualIC` with a per-site cache entry
+//!      (`ClassId → FnId`, hit/miss counted in [`VmStats`]), so a
+//!      monomorphic site skips even the dense-table load after its first
+//!      call.
+//!   2. *Superinstructions* (`superinstructions`): the peephole pass
 //!      [`crate::codegen::fuse`] fuses the hottest decoded pairs
 //!      (`Load;Load`, `Load;ConstInt`, `ConstInt;Add`, `Add;Store`,
-//!      `Load;CallStatic`, integer-compare + branch) in a prepared copy
-//!      of the code — on the exec corpus over 60% of logical
-//!      instructions retire inside a fused pair. Fused instructions
-//!      charge fuel per constituent instruction so out-of-fuel traps
-//!      stay position-identical with reference execution, and the
-//!      merged dataflow (e.g. `AddConst` never materializing its
-//!      constant) is legal because the intermediate stack state between
-//!      the two halves is unobservable.
+//!      `Load;CallStatic`, integer-compare + branch) — on the exec corpus
+//!      over 60% of logical instructions retire inside a fused pair. Fused
+//!      instructions charge fuel per constituent instruction so out-of-fuel
+//!      traps stay position-identical with the reference engine, and the
+//!      merged dataflow (e.g. `AddConst` never materializing its constant)
+//!      is legal because the stack state between the two halves is
+//!      unobservable.
 //!
-//!   Independently, *flat frames* (`flat_frames`) replaces the recursive
-//!   `invoke` with a non-recursive dispatch loop over an explicit frame
-//!   stack (mirroring the middle end's iterative tree walk): one shared
-//!   locals arena and one shared operand stack with per-frame base
-//!   offsets, so calls reuse storage instead of allocating two vectors
-//!   each.
+//! That makes five configurations: the reference engine, and the fast
+//! engine with each subset of the two rewrites. [`VmOptions`] cannot
+//! express a reference engine with a rewrite turned on.
 //!
-//! Both modes enforce the same guest call-depth budget
-//! ([`VmOptions::max_frames`]): deep guest recursion degrades to a
-//! structured [`VmError::Trap`] at the same guest depth instead of a host
-//! stack overflow. Rewrites (fusion, IC) apply to a *prepared copy* of
-//! the code held by the VM; the [`Program`] itself is never mutated, so
-//! one linked program serves both sides of an A/B run.
+//! Both engines enforce the same guest call-depth budget
+//! ([`VmOptions::max_frames`]) and the same array-size cap
+//! ([`MAX_ARRAY_LEN`]): deep guest recursion and huge guest-chosen array
+//! sizes degrade to a structured [`VmError::Trap`] instead of a host stack
+//! overflow or allocation failure. The [`Program`] itself is never mutated,
+//! so one linked program serves both sides of an A/B run.
 
 use crate::bytecode::*;
 use std::cell::{Cell, RefCell};
@@ -150,57 +153,87 @@ enum Flow {
     Exception(Value),
 }
 
-/// Default guest call-depth budget. Sized so that even the *recursive*
-/// reference interpreter stays well inside a 2 MiB test-thread host stack
+/// Default guest call-depth budget. Sized so that even the host-recursive
+/// reference engine stays well inside a 2 MiB test-thread host stack
 /// while allowing far deeper guest recursion than the corpora use.
 pub const DEFAULT_MAX_FRAMES: u32 = 512;
 
-/// Execution-feature toggles. [`VmOptions::fast`] (the [`Default`], used by
-/// [`Vm::new`]) turns everything on; [`VmOptions::reference`] turns
-/// everything off and reproduces the original interpreter's costs. Each
-/// flag is independent so the `exec` bench and the equivalence proptest can
-/// ablate features one at a time.
+/// Largest array a guest may allocate. `NewArray` with a larger size is a
+/// [`VmError::Trap`] in both engines: the size is guest data, and without
+/// a cap it could ask the host for any amount of memory.
+pub const MAX_ARRAY_LEN: i64 = 1 << 24;
+
+/// Which engine runs the program; see the module's design note.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VmEngine {
+    /// The recursive base-ISA interpreter with by-name dispatch: the
+    /// semantic oracle and A/B baseline.
+    Reference,
+    /// The flat-frame, slot-dispatched engine. The two rewrites of its
+    /// prepared code are on in production and switched off only for
+    /// ablations.
+    Fast {
+        /// Rewrite virtual call sites to monomorphic inline caches.
+        inline_caches: bool,
+        /// Run the [`crate::codegen::fuse`] peephole over the prepared
+        /// code.
+        superinstructions: bool,
+    },
+}
+
+/// Execution configuration. [`VmOptions::fast`] (the [`Default`], used by
+/// [`Vm::new`]) is the fast engine with both rewrites on;
+/// [`VmOptions::reference`] is the reference engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VmOptions {
-    /// Dispatch through dense slot-indexed vtables / field tables
-    /// (requires a [`Program::link`]ed program) instead of per-call
-    /// `HashMap` probes.
-    pub resolved_dispatch: bool,
-    /// Rewrite virtual call sites to monomorphic inline caches.
-    pub inline_caches: bool,
-    /// Run the [`crate::codegen::fuse`] peephole over a prepared copy of
-    /// the code.
-    pub superinstructions: bool,
-    /// Execute on an explicit frame stack with reused locals storage
-    /// instead of host recursion.
-    pub flat_frames: bool,
-    /// Guest call-depth budget (both modes); exceeding it is a structured
-    /// [`VmError::Trap`], never a host stack overflow.
+    /// The engine, with its rewrites.
+    pub engine: VmEngine,
+    /// Guest call-depth budget (both engines); exceeding it is a
+    /// structured [`VmError::Trap`], never a host stack overflow.
     pub max_frames: u32,
 }
 
 impl VmOptions {
-    /// All execution features on (the production configuration).
+    /// The fast engine with inline caches and superinstructions (the
+    /// production configuration).
     pub fn fast() -> VmOptions {
         VmOptions {
-            resolved_dispatch: true,
-            inline_caches: true,
-            superinstructions: true,
-            flat_frames: true,
+            engine: VmEngine::Fast {
+                inline_caches: true,
+                superinstructions: true,
+            },
             max_frames: DEFAULT_MAX_FRAMES,
         }
     }
 
-    /// All execution features off: the original recursive, hash-probing
+    /// The reference engine: the original recursive, hash-probing
     /// interpreter. Semantic oracle and A/B baseline.
     pub fn reference() -> VmOptions {
         VmOptions {
-            resolved_dispatch: false,
-            inline_caches: false,
-            superinstructions: false,
-            flat_frames: false,
+            engine: VmEngine::Reference,
             max_frames: DEFAULT_MAX_FRAMES,
         }
+    }
+
+    /// Every configuration, labelled: the reference engine, the fast
+    /// engine, and the fast engine minus inline caches (`-ic`), minus
+    /// superinstructions (`-fuse`) or minus both. The `exec` bench parses
+    /// its specs against these labels.
+    pub fn all() -> [(&'static str, VmOptions); 5] {
+        let fast = |inline_caches, superinstructions| VmOptions {
+            engine: VmEngine::Fast {
+                inline_caches,
+                superinstructions,
+            },
+            ..VmOptions::fast()
+        };
+        [
+            ("ref", VmOptions::reference()),
+            ("fast", fast(true, true)),
+            ("fast-ic", fast(false, true)),
+            ("fast-fuse", fast(true, false)),
+            ("fast-ic-fuse", fast(false, false)),
+        ]
     }
 }
 
@@ -252,19 +285,9 @@ const IC_EMPTY: IcEntry = IcEntry {
     target: 0,
 };
 
-/// Per-function executable code as prepared at VM construction: a plain
-/// copy in reference mode, fused and/or IC-rewritten in fast mode.
-struct FnCode {
-    name: String,
-    n_params: u16,
-    n_locals: u16,
-    code: Vec<Insn>,
-    handlers: Vec<Handler>,
-}
-
-/// A suspended caller in the flat-frame interpreter.
+/// A suspended caller in the fast engine.
 struct Frame {
-    code: Rc<FnCode>,
+    code: Rc<Function>,
     pc: usize,
     base: usize,
     stack_base: usize,
@@ -285,57 +308,67 @@ pub struct Vm<'p> {
     /// Execution counters (instructions retired, IC hits, peak frames).
     pub stats: VmStats,
     opts: VmOptions,
-    code_tab: Vec<Rc<FnCode>>,
+    /// Fast engine only: the prepared copy of each [`Function`] (fused
+    /// and/or IC-rewritten), indexed by [`FnId`].
+    code_tab: Vec<Rc<Function>>,
+    /// Fast engine only: one cache entry per `CallVirtualIC` site.
     ics: Vec<Cell<IcEntry>>,
+    /// Reference engine only: current host-recursion depth.
     depth: u32,
 }
 
 impl<'p> Vm<'p> {
     /// Creates a VM with the default fuel budget (100M instructions) and
-    /// the fast execution options.
+    /// the fast engine.
     pub fn new(program: &'p Program) -> Vm<'p> {
         Vm::with_options(program, VmOptions::default())
     }
 
-    /// Creates a VM with explicit [`VmOptions`]. `resolved_dispatch`
-    /// requires the program to have been [`Program::link`]ed (codegen
-    /// links automatically; hand-assembled programs must call it).
+    /// Creates a VM with explicit [`VmOptions`]. The fast engine requires
+    /// the program to have been [`Program::link`]ed (codegen links
+    /// automatically; hand-assembled programs must call it).
     pub fn with_options(program: &'p Program, opts: VmOptions) -> Vm<'p> {
-        if opts.resolved_dispatch {
-            let n = program.method_names.len();
-            assert!(
-                program.classes.iter().all(|c| c.vtable_slots.len() == n),
-                "VmOptions::resolved_dispatch requires a linked Program (call Program::link)"
-            );
-        }
         let mut ics = Vec::new();
-        let code_tab = program
-            .functions
-            .iter()
-            .map(|f| {
-                let (mut code, handlers) = if opts.superinstructions {
-                    crate::codegen::fuse(&f.code, &f.handlers)
-                } else {
-                    (f.code.clone(), f.handlers.clone())
-                };
-                if opts.inline_caches {
-                    for i in &mut code {
-                        if let Insn::CallVirtual(slot, argc) = *i {
-                            let site = ics.len() as u32;
-                            ics.push(Cell::new(IC_EMPTY));
-                            *i = Insn::CallVirtualIC(slot, argc, site);
+        let code_tab = match opts.engine {
+            VmEngine::Reference => Vec::new(),
+            VmEngine::Fast {
+                inline_caches,
+                superinstructions,
+            } => {
+                let n = program.method_names.len();
+                assert!(
+                    program.classes.iter().all(|c| c.vtable_slots.len() == n),
+                    "the fast VM engine requires a linked Program (call Program::link)"
+                );
+                program
+                    .functions
+                    .iter()
+                    .map(|f| {
+                        let (mut code, handlers) = if superinstructions {
+                            crate::codegen::fuse(&f.code, &f.handlers)
+                        } else {
+                            (f.code.clone(), f.handlers.clone())
+                        };
+                        if inline_caches {
+                            for i in &mut code {
+                                if let Insn::CallVirtual(slot, argc) = *i {
+                                    let site = ics.len() as u32;
+                                    ics.push(Cell::new(IC_EMPTY));
+                                    *i = Insn::CallVirtualIC(slot, argc, site);
+                                }
+                            }
                         }
-                    }
-                }
-                Rc::new(FnCode {
-                    name: f.name.clone(),
-                    n_params: f.n_params,
-                    n_locals: f.n_locals,
-                    code,
-                    handlers,
-                })
-            })
-            .collect();
+                        Rc::new(Function {
+                            name: f.name.clone(),
+                            n_params: f.n_params,
+                            n_locals: f.n_locals,
+                            code,
+                            handlers,
+                        })
+                    })
+                    .collect()
+            }
+        };
         Vm {
             program,
             out: Vec::new(),
@@ -379,14 +412,13 @@ impl<'p> Vm<'p> {
         // dispatches = fuel spent − fused retired.
         let fuel0 = self.fuel;
         let fused0 = self.stats.fused_retired;
-        let r = if self.opts.flat_frames {
-            self.run_flat(fid, args)
-        } else {
-            match self.invoke(fid, args) {
+        let r = match self.opts.engine {
+            VmEngine::Fast { .. } => self.run_flat(fid, args),
+            VmEngine::Reference => match self.invoke(fid, args) {
                 Ok(Flow::Value(v)) => Ok(v),
                 Ok(Flow::Exception(v)) => Err(VmError::Uncaught(v)),
                 Err(e) => Err(e),
-            }
+            },
         };
         let spent = fuel0 - self.fuel;
         self.stats.insns_retired += spent - (self.stats.fused_retired - fused0);
@@ -435,43 +467,28 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Resolve a virtual call: dense slot table in fast mode, by-name
-    /// `HashMap` probe in reference mode.
+    /// Fast engine: resolve a virtual call through the dense slot table.
     #[inline]
     fn resolve_virtual(&self, recv: &Value, slot: MethodSlot) -> Option<FnId> {
         match recv {
-            Value::Obj(o) => {
-                let class = &self.program.classes[o.class as usize];
-                if self.opts.resolved_dispatch {
-                    class.vtable_slots[slot as usize]
-                } else {
-                    class.vtable.get(&self.program.method_name(slot)).copied()
-                }
-            }
+            Value::Obj(o) => self.resolve_direct(o.class, slot),
             _ => None,
         }
     }
 
     #[inline]
     fn resolve_direct(&self, cls: ClassId, slot: MethodSlot) -> Option<FnId> {
-        let class = &self.program.classes[cls as usize];
-        if self.opts.resolved_dispatch {
-            class.vtable_slots[slot as usize]
-        } else {
-            class.vtable.get(&self.program.method_name(slot)).copied()
-        }
+        self.program.classes[cls as usize].vtable_slots[slot as usize]
     }
 
     #[inline]
     fn resolve_field(&self, cls: ClassId, gid: u16) -> Option<u16> {
-        let class = &self.program.classes[cls as usize];
-        if self.opts.resolved_dispatch {
-            match class.field_slots.get(gid as usize).copied() {
-                Some(NO_FIELD) | None => None,
-                slot => slot,
-            }
-        } else {
-            class.field_resolve.get(&gid).copied()
+        match self.program.classes[cls as usize]
+            .field_slots
+            .get(gid as usize)
+        {
+            Some(&NO_FIELD) | None => None,
+            slot => slot.copied(),
         }
     }
 
@@ -479,6 +496,7 @@ impl<'p> Vm<'p> {
         VmError::Trap(format!("max call depth {max} exceeded"))
     }
 
+    /// Reference engine: one host-recursive call.
     fn invoke(&mut self, fid: FnId, args: Vec<Value>) -> Result<Flow, VmError> {
         if self.depth >= self.opts.max_frames {
             return Err(Self::depth_trap(self.opts.max_frames));
@@ -491,7 +509,8 @@ impl<'p> Vm<'p> {
     }
 
     fn invoke_inner(&mut self, fid: FnId, args: Vec<Value>) -> Result<Flow, VmError> {
-        let f = self.code_tab[fid as usize].clone();
+        let program = self.program;
+        let f = &program.functions[fid as usize];
         if f.code.is_empty() {
             return Err(VmError::Trap(format!(
                 "call to abstract method `{}`",
@@ -511,6 +530,13 @@ impl<'p> Vm<'p> {
         let mut stack: Vec<Value> = Vec::with_capacity(16);
         let mut pc: usize = 0;
         let code = &f.code;
+        // By-name dispatch: the `HashMap` vtable keyed by selector name.
+        let lookup = |cls: ClassId, slot: MethodSlot| {
+            program.classes[cls as usize]
+                .vtable
+                .get(&program.method_name(slot))
+                .copied()
+        };
 
         macro_rules! pop {
             () => {
@@ -538,45 +564,6 @@ impl<'p> Vm<'p> {
                     return Ok(Flow::Exception(exc));
                 }
                 continue;
-            }};
-        }
-        // Second fuel charge for the second half of a fused pair: keeps
-        // out-of-fuel traps position-identical with unfused execution.
-        macro_rules! fuel2 {
-            () => {
-                if self.fuel == 0 {
-                    return Err(VmError::Trap("out of fuel".into()));
-                } else {
-                    self.fuel -= 1;
-                }
-            };
-        }
-        // Universal `Any` members when dispatch found no method.
-        macro_rules! virtual_fallback {
-            ($recv:expr, $slot:expr, $call_args:expr) => {{
-                let recv = $recv;
-                let call_args: Vec<Value> = $call_args;
-                match self.program.method_name($slot).as_str() {
-                    "equals" => {
-                        let eq = Self::values_equal(&recv, &call_args[1]);
-                        stack.push(Value::Bool(eq));
-                    }
-                    "toString" => {
-                        stack.push(Value::Str(Rc::from(self.render(&recv))));
-                    }
-                    "getClass" => {
-                        stack.push(Value::Str(Rc::from(self.class_name(&recv))));
-                    }
-                    name => {
-                        if matches!(recv, Value::Null) {
-                            throw!(Value::Str(Rc::from("NullPointerException")));
-                        }
-                        return Err(VmError::Trap(format!(
-                            "no method `{name}` on {}",
-                            self.class_name(&recv)
-                        )));
-                    }
-                }
             }};
         }
         macro_rules! invoke_to_stack {
@@ -612,7 +599,8 @@ impl<'p> Vm<'p> {
                     let recv = pop!();
                     match recv {
                         Value::Obj(o) => {
-                            let slot = self.resolve_field(o.class, gid).ok_or_else(|| {
+                            let class = &program.classes[o.class as usize];
+                            let slot = *class.field_resolve.get(&gid).ok_or_else(|| {
                                 VmError::Trap(format!("unknown field #{gid} read"))
                             })?;
                             stack.push(o.fields.borrow()[slot as usize].clone())
@@ -628,7 +616,8 @@ impl<'p> Vm<'p> {
                     let recv = pop!();
                     match recv {
                         Value::Obj(o) => {
-                            let slot = self.resolve_field(o.class, gid).ok_or_else(|| {
+                            let class = &program.classes[o.class as usize];
+                            let slot = *class.field_resolve.get(&gid).ok_or_else(|| {
                                 VmError::Trap(format!("unknown field #{gid} write"))
                             })?;
                             o.fields.borrow_mut()[slot as usize] = v;
@@ -651,62 +640,57 @@ impl<'p> Vm<'p> {
                         .first()
                         .ok_or_else(|| VmError::Trap("virtual call without receiver".into()))?
                         .clone();
-                    match self.resolve_virtual(&recv, slot) {
-                        Some(g) => invoke_to_stack!(g, call_args),
-                        None => virtual_fallback!(recv, slot, call_args),
-                    }
-                }
-                Insn::CallVirtualIC(slot, argc, site) => {
-                    let split = stack.len() - argc as usize;
-                    let call_args = stack.split_off(split);
-                    let recv = call_args
-                        .first()
-                        .ok_or_else(|| VmError::Trap("virtual call without receiver".into()))?
-                        .clone();
-                    let target = if let Value::Obj(o) = &recv {
-                        let entry = self.ics[site as usize].get();
-                        if entry.class == o.class {
-                            self.stats.ic_hits += 1;
-                            Some(entry.target)
-                        } else {
-                            self.stats.ic_misses += 1;
-                            let resolved = self.resolve_virtual(&recv, slot);
-                            if let Some(g) = resolved {
-                                self.ics[site as usize].set(IcEntry {
-                                    class: o.class,
-                                    target: g,
-                                });
-                            }
-                            resolved
-                        }
-                    } else {
-                        None
+                    let target = match &recv {
+                        Value::Obj(o) => lookup(o.class, slot),
+                        _ => None,
                     };
-                    match target {
-                        Some(g) => invoke_to_stack!(g, call_args),
-                        None => virtual_fallback!(recv, slot, call_args),
+                    if let Some(g) = target {
+                        invoke_to_stack!(g, call_args);
+                        continue;
+                    }
+                    // Universal `Any` members when dispatch found no method.
+                    match program.method_name(slot).as_str() {
+                        "equals" => {
+                            let eq = Self::values_equal(&recv, &call_args[1]);
+                            stack.push(Value::Bool(eq));
+                        }
+                        "toString" => {
+                            stack.push(Value::Str(Rc::from(self.render(&recv))));
+                        }
+                        "getClass" => {
+                            stack.push(Value::Str(Rc::from(self.class_name(&recv))));
+                        }
+                        name => {
+                            if matches!(recv, Value::Null) {
+                                throw!(Value::Str(Rc::from("NullPointerException")));
+                            }
+                            return Err(VmError::Trap(format!(
+                                "no method `{name}` on {}",
+                                self.class_name(&recv)
+                            )));
+                        }
                     }
                 }
                 Insn::CallDirect(cls, slot, argc) => {
                     let split = stack.len() - argc as usize;
                     let call_args = stack.split_off(split);
-                    match self.resolve_direct(cls, slot) {
+                    match lookup(cls, slot) {
                         Some(g) => invoke_to_stack!(g, call_args),
-                        None if self.program.method_name(slot) == mini_ir::std_names::init() => {
+                        None if program.method_name(slot) == mini_ir::std_names::init() => {
                             // Fieldless class without an explicit ctor.
                             stack.push(Value::Unit);
                         }
                         None => {
                             return Err(VmError::Trap(format!(
                                 "no direct method `{}` on class {}",
-                                self.program.method_name(slot),
-                                self.program.classes[cls as usize].name
+                                program.method_name(slot),
+                                program.classes[cls as usize].name
                             )))
                         }
                     }
                 }
                 Insn::New(cls) => {
-                    let n = self.program.classes[cls as usize].n_fields as usize;
+                    let n = program.classes[cls as usize].n_fields as usize;
                     stack.push(Value::Obj(Rc::new(ObjCell {
                         class: cls,
                         fields: RefCell::new(vec![Value::Null; n]),
@@ -716,6 +700,11 @@ impl<'p> Vm<'p> {
                     let n = pop!().int()?;
                     if n < 0 {
                         throw!(Value::Str(Rc::from("NegativeArraySizeException")));
+                    }
+                    if n > MAX_ARRAY_LEN {
+                        return Err(VmError::Trap(format!(
+                            "array size {n} exceeds MAX_ARRAY_LEN ({MAX_ARRAY_LEN})"
+                        )));
                     }
                     stack.push(Value::Arr(Rc::new(RefCell::new(vec![
                         Value::Unit;
@@ -796,7 +785,7 @@ impl<'p> Vm<'p> {
                 }
                 Insn::Neg => {
                     let a = pop!().int()?;
-                    stack.push(Value::Int(-a));
+                    stack.push(Value::Int(a.wrapping_neg()));
                 }
                 Insn::Not => {
                     let a = pop!().truthy()?;
@@ -909,72 +898,26 @@ impl<'p> Vm<'p> {
                     };
                     stack.push(Value::Int(s.chars().count() as i64));
                 }
-                Insn::LoadLoad(a, b) => {
-                    self.stats.fused_retired += 1;
-                    stack.push(locals[a as usize].clone());
-                    fuel2!();
-                    stack.push(locals[b as usize].clone());
-                }
-                Insn::LoadConst(a, k) => {
-                    self.stats.fused_retired += 1;
-                    stack.push(locals[a as usize].clone());
-                    fuel2!();
-                    stack.push(Value::Int(k));
-                }
-                Insn::AddConst(k) => {
-                    self.stats.fused_retired += 1;
-                    fuel2!();
-                    let a = pop!().int()?;
-                    stack.push(Value::Int(a.wrapping_add(k)));
-                }
-                Insn::AddStore(s) => {
-                    self.stats.fused_retired += 1;
-                    let b = pop!().int()?;
-                    let a = pop!().int()?;
-                    fuel2!();
-                    locals[s as usize] = Value::Int(a.wrapping_add(b));
-                }
-                Insn::LoadCall(x, g, argc) => {
-                    self.stats.fused_retired += 1;
-                    stack.push(locals[x as usize].clone());
-                    fuel2!();
-                    let split = stack.len() - argc as usize;
-                    let call_args = stack.split_off(split);
-                    invoke_to_stack!(g, call_args);
-                }
-                Insn::CmpBranch(kind, sense, t) => {
-                    self.stats.fused_retired += 1;
-                    let b = pop!();
-                    let a = pop!();
-                    let cond = match kind {
-                        Cmp::Eq => Self::values_equal(&a, &b),
-                        kind => {
-                            // Type-check in the reference pop order (b first).
-                            let bi = b.int()?;
-                            let ai = a.int()?;
-                            match kind {
-                                Cmp::Lt => ai < bi,
-                                Cmp::Gt => ai > bi,
-                                Cmp::Le => ai <= bi,
-                                Cmp::Ge => ai >= bi,
-                                Cmp::Eq => unreachable!("handled above"),
-                            }
-                        }
-                    };
-                    fuel2!();
-                    if cond == sense {
-                        pc = t as usize;
-                    }
+                Insn::LoadLoad(..)
+                | Insn::LoadConst(..)
+                | Insn::AddConst(_)
+                | Insn::AddStore(_)
+                | Insn::LoadCall(..)
+                | Insn::CmpBranch(..)
+                | Insn::CallVirtualIC(..) => {
+                    return Err(VmError::Trap(format!(
+                        "non-base instruction {insn:?} in `{}`",
+                        f.name
+                    )));
                 }
             }
         }
     }
 
-    /// The non-recursive interpreter: an explicit frame stack over one
-    /// shared locals arena and one shared operand stack (per-frame base
-    /// offsets), so guest calls reuse storage instead of allocating, and
-    /// guest recursion depth is bounded by `max_frames`, not the host
-    /// stack.
+    /// Fast engine: an explicit frame stack over one shared locals arena
+    /// and one shared operand stack (per-frame base offsets), so guest
+    /// calls reuse storage instead of allocating, and guest recursion depth
+    /// is bounded by `max_frames`, not the host stack.
     fn run_flat(&mut self, fid: FnId, args: Vec<Value>) -> Result<Value, VmError> {
         if self.opts.max_frames == 0 {
             return Err(Self::depth_trap(0));
@@ -1269,6 +1212,11 @@ impl<'p> Vm<'p> {
                     if n < 0 {
                         throw!(Value::Str(Rc::from("NegativeArraySizeException")));
                     }
+                    if n > MAX_ARRAY_LEN {
+                        return Err(VmError::Trap(format!(
+                            "array size {n} exceeds MAX_ARRAY_LEN ({MAX_ARRAY_LEN})"
+                        )));
+                    }
                     stack.push(Value::Arr(Rc::new(RefCell::new(vec![
                         Value::Unit;
                         n as usize
@@ -1348,7 +1296,7 @@ impl<'p> Vm<'p> {
                 }
                 Insn::Neg => {
                     let a = pop!().int()?;
-                    stack.push(Value::Int(-a));
+                    stack.push(Value::Int(a.wrapping_neg()));
                 }
                 Insn::Not => {
                     let a = pop!().truthy()?;

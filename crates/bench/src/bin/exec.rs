@@ -5,22 +5,21 @@
 //! (`workload::generate_exec`: polymorphic call sites over three classes,
 //! monomorphic hot loops, deep static call chains, non-tail guest
 //! recursion) exactly once, untimed, then times paired repetitions of the
-//! same linked program under two [`VmOptions`] configurations in one
-//! process, alternating order per repetition — the same methodology as
-//! `ab`, for the same reason: cross-process timings on this shared host
-//! drift by double-digit percentages.
+//! same linked program under two VM configurations in one process,
+//! alternating order per repetition — the same methodology as `ab`, for
+//! the same reason: cross-process timings on this shared host drift by
+//! double-digit percentages.
 //!
 //! ```text
 //! cargo run --release -p bench --bin exec -- [SPEC_B] [SPEC_A] [REPS] [ITERS]
 //! ```
 //!
-//! A spec is `fast` (all optimizations on) or `ref` (the reference
-//! interpreter: by-name `HashMap` dispatch, no caches, no fusion,
-//! host-recursive frames) followed by optional `+`-separated feature
-//! enables for ablation runs: `+slots` (link-time slot-resolved dispatch
-//! tables), `+ic` (monomorphic inline caches), `+fuse`
-//! (superinstructions), `+flat` (flat frame stack). `ref+ic` times the
-//! inline caches alone; `fast` is `ref+slots+ic+fuse+flat`.
+//! A spec is `ref` (the reference engine: by-name `HashMap` dispatch,
+//! host-recursive frames, base ISA only) or `fast` (the flat-frame,
+//! slot-dispatched engine with inline caches and superinstructions),
+//! optionally minus rewrites for ablation runs: `fast-ic` drops the
+//! monomorphic inline caches, `fast-fuse` the superinstructions, and
+//! `fast-ic-fuse` both. `exec fast fast-ic` measures what the caches buy.
 //!
 //! Every repetition's captured output and result are compared
 //! byte-for-byte against the first run — a paired perf harness that could
@@ -38,7 +37,7 @@ use mini_driver::{compile_sources, CompilerOptions};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: exec [SPEC_B] [SPEC_A] [REPS] [ITERS]\n\
-     SPEC    = (fast|ref)[+slots][+ic][+fuse][+flat]\n\
+     SPEC    = ref | fast[-ic][-fuse]\n\
      REPS    = positive integer (default 9, env REPS)\n\
      ITERS   = positive integer: corpus loop trip count (default 6000, env EXEC_ITERS)";
 
@@ -54,24 +53,12 @@ struct Spec {
 }
 
 fn parse_spec(s: &str) -> Spec {
-    let mut parts = s.split('+');
-    let mut opts = match parts.next().unwrap_or_default() {
-        "fast" => VmOptions::fast(),
-        "ref" => VmOptions::reference(),
-        other => usage_exit(&format!("unknown spec `{other}`")),
-    };
-    for modifier in parts {
-        match modifier {
-            "slots" => opts.resolved_dispatch = true,
-            "ic" => opts.inline_caches = true,
-            "fuse" => opts.superinstructions = true,
-            "flat" => opts.flat_frames = true,
-            other => usage_exit(&format!("unknown spec modifier `+{other}`")),
-        }
-    }
-    Spec {
-        opts,
-        label: s.to_string(),
+    match VmOptions::all().into_iter().find(|(label, _)| *label == s) {
+        Some((_, opts)) => Spec {
+            opts,
+            label: s.to_string(),
+        },
+        None => usage_exit(&format!("unknown spec `{s}`")),
     }
 }
 
@@ -188,7 +175,7 @@ fn main() {
     let (a, b) = (min_a.as_secs_f64(), min_b.as_secs_f64());
     let print_side = |tag: &str, label: &str, secs: f64, s: &VmStats| {
         println!(
-            "{tag} {label:>10}: min {ms:>8.2} ms  insns {insns:>10}  fused {fused:>9}  IC {hits}/{total} ({rate:.1}% hit)  peak frames {frames}",
+            "{tag} {label:>12}: min {ms:>8.2} ms  insns {insns:>10}  fused {fused:>9}  IC {hits}/{total} ({rate:.1}% hit)  peak frames {frames}",
             ms = secs * 1e3,
             insns = s.insns_retired,
             fused = s.fused_retired,

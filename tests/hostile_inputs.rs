@@ -8,7 +8,9 @@
 //! trees stay as panics/debug_asserts — they are covered by the
 //! isolation fences, not by this battery.
 
-use miniphases::mini_driver::{compile_sources, CompileError, CompilerOptions};
+use miniphases::mini_driver::{
+    compile_sources, CompileError, CompileRequest, CompileService, CompilerOptions, ServiceConfig,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Compiles one hostile source behind an unwind fence; panicking is the
@@ -225,4 +227,30 @@ fn pathological_shapes_compile_or_reject_without_panicking() {
         eprintln!("pathological case: {label}");
         let _ = compile_hostile(label, src);
     }
+}
+
+#[test]
+fn huge_guest_array_is_a_vm_trap_and_the_tenant_keeps_serving() {
+    // `run_main` runs outside the service's unwind fence, so a guest-chosen
+    // array size must trap in the VM rather than panic or abort the host.
+    let mut svc = CompileService::new(ServiceConfig::new(CompilerOptions::fused()));
+    svc.add_tenant("t").expect("register");
+    let serve = |src: &str| {
+        let req = CompileRequest::new().edit("main.ms", src).running_main();
+        let resp = svc.submit("t", req).expect("admitted").wait();
+        resp.expect("compiles").output.expect("ran main")
+    };
+    let out = serve(
+        "def main(): Unit = {\n\
+         val a: Array[Int] = new Array[Int](1152921504606846976)\n\
+         println(a.length)\n\
+         }\n",
+    );
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert!(
+        out[0].starts_with("vm error: Trap(") && out[0].contains("MAX_ARRAY_LEN"),
+        "{out:?}"
+    );
+    let out = serve("def main(): Unit = println(new Array[Int](3).length)\n");
+    assert_eq!(out, vec!["3"]);
 }

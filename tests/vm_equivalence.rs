@@ -1,70 +1,17 @@
 //! Fast-VM ≡ reference-VM equivalence.
 //!
-//! The execution overhaul (slot-resolved dispatch, inline caches,
-//! superinstructions, flat frames) must be invisible at every observable
-//! surface: the returned value, the captured `println` stream
-//! (byte-identical), and trap/exception behavior including fuel exhaustion
-//! positions. These tests pin that across compiled corpora × feature
-//! ablations, plus the guest-recursion depth ceiling.
+//! The fast engine (flat frames, slot-resolved dispatch) and its two
+//! prepared-code rewrites (inline caches, superinstructions) must be
+//! invisible at every observable surface: the returned value, the captured
+//! `println` stream (byte-identical), and trap/exception behavior including
+//! fuel exhaustion positions. These tests pin that across compiled corpora
+//! × the five VM configurations (reference, fast, fast−ic, fast−fuse,
+//! fast−ic−fuse), plus the guest-recursion depth ceiling.
 
-use miniphases::mini_backend::{Program, Vm, VmOptions, VmStats};
+use miniphases::mini_backend::{Program, Vm, VmEngine, VmOptions, VmStats};
 use miniphases::mini_driver::{compile_sources, CompilerOptions};
 use miniphases::workload;
 use proptest::prelude::*;
-
-/// Every interesting option combination: reference, each feature alone,
-/// all-on, and a couple of pairs.
-fn ablations() -> Vec<(&'static str, VmOptions)> {
-    let r = VmOptions::reference();
-    vec![
-        ("reference", r),
-        (
-            "+slots",
-            VmOptions {
-                resolved_dispatch: true,
-                ..r
-            },
-        ),
-        (
-            "+ic",
-            VmOptions {
-                inline_caches: true,
-                ..r
-            },
-        ),
-        (
-            "+fuse",
-            VmOptions {
-                superinstructions: true,
-                ..r
-            },
-        ),
-        (
-            "+flat",
-            VmOptions {
-                flat_frames: true,
-                ..r
-            },
-        ),
-        (
-            "+flat+fuse",
-            VmOptions {
-                flat_frames: true,
-                superinstructions: true,
-                ..r
-            },
-        ),
-        (
-            "+slots+ic",
-            VmOptions {
-                resolved_dispatch: true,
-                inline_caches: true,
-                ..r
-            },
-        ),
-        ("fast", VmOptions::fast()),
-    ]
-}
 
 /// Runs `f` on a thread with a large stack: the *reference* interpreter
 /// recurses on the host stack (one `invoke` frame per guest frame, big in
@@ -95,7 +42,7 @@ fn run(program: &Program, opts: VmOptions, fuel: u64) -> (String, Vec<String>, V
 /// Asserts every ablation matches the reference on outcome + output.
 fn assert_equivalent(program: &Program, fuel: u64) {
     let (ref_outcome, ref_out, _) = run(program, VmOptions::reference(), fuel);
-    for (label, opts) in ablations() {
+    for (label, opts) in VmOptions::all() {
         let (outcome, out, _) = run(program, opts, fuel);
         assert_eq!(outcome, ref_outcome, "{label}: outcome diverged");
         assert_eq!(out, ref_out, "{label}: output diverged");
@@ -140,6 +87,19 @@ fn exec_corpus_runs_identically_and_exercises_the_fast_paths() {
         assert!(stats.ic_hits > 0, "inline caches idle: {stats:?}");
         assert!(stats.peak_frames > 100, "deep recursion missing: {stats:?}");
         assert!(stats.ic_hit_rate() > 0.5, "mostly-miss caches: {stats:?}");
+        // Each ablation switches off exactly its own rewrite.
+        for (label, opts) in VmOptions::all() {
+            let (_, _, s) = run(&program, opts, u64::MAX);
+            let (ic, fuse) = match opts.engine {
+                VmEngine::Reference => (false, false),
+                VmEngine::Fast {
+                    inline_caches,
+                    superinstructions,
+                } => (inline_caches, superinstructions),
+            };
+            assert_eq!(s.ic_hits > 0, ic, "{label}: {s:?}");
+            assert_eq!(s.fused_retired > 0, fuse, "{label}: {s:?}");
+        }
     });
 }
 
@@ -154,7 +114,7 @@ fn fuel_exhaustion_traps_at_identical_positions() {
         for fuel in [1_000u64, 10_000, 60_000] {
             let (ref_outcome, ref_out, _) = run(&program, VmOptions::reference(), fuel);
             assert!(ref_outcome.contains("fuel"), "fuel too high: {ref_outcome}");
-            for (label, opts) in ablations() {
+            for (label, opts) in VmOptions::all() {
                 let (outcome, out, _) = run(&program, opts, fuel);
                 assert_eq!(outcome, ref_outcome, "{label} @ fuel {fuel}");
                 assert_eq!(out, ref_out, "{label} @ fuel {fuel}: output diverged");
@@ -179,20 +139,20 @@ fn guest_recursion_hits_the_depth_ceiling_not_the_host_stack() {
             ref_outcome.contains("max call depth"),
             "expected depth trap, got {ref_outcome}"
         );
-        for (label, opts) in ablations() {
+        for (label, opts) in VmOptions::all() {
             let (outcome, out, _) = run(&program, opts, u64::MAX);
             assert_eq!(outcome, ref_outcome, "{label}: trap diverged");
             assert_eq!(out, ref_out, "{label}: output diverged");
         }
-        // A raised budget lets the same program finish in either mode.
-        for base in [VmOptions::fast(), VmOptions::reference()] {
+        // A raised budget lets the same program finish in every mode.
+        for (label, base) in VmOptions::all() {
             let roomy = VmOptions {
                 max_frames: 8_192,
                 ..base
             };
             let (outcome, out, _) = run(&program, roomy, u64::MAX);
-            assert!(outcome.starts_with("ok"), "{outcome}");
-            assert_eq!(out, vec!["4000"]);
+            assert!(outcome.starts_with("ok"), "{label}: {outcome}");
+            assert_eq!(out, vec!["4000"], "{label}");
         }
     });
 }
@@ -205,7 +165,7 @@ fn explicit_small_budget_traps_identically_in_both_modes() {
         .expect("compiles")
         .program;
     let mut outcomes = Vec::new();
-    for base in [VmOptions::fast(), VmOptions::reference()] {
+    for (label, base) in VmOptions::all() {
         let opts = VmOptions {
             max_frames: 16,
             ..base
@@ -213,11 +173,29 @@ fn explicit_small_budget_traps_identically_in_both_modes() {
         let (outcome, _, _) = run(&program, opts, u64::MAX);
         assert!(
             outcome.contains("max call depth 16"),
-            "expected depth trap, got {outcome}"
+            "{label}: expected depth trap, got {outcome}"
         );
         outcomes.push(outcome);
     }
-    assert_eq!(outcomes[0], outcomes[1]);
+    assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{outcomes:?}");
+}
+
+#[test]
+fn negating_the_minimum_int_wraps_in_every_mode() {
+    // `-m` for m = i64::MIN wraps like `+`, `-` and `*` do; it must not
+    // panic the host with an arithmetic overflow (debug builds check).
+    let src = "def main(): Unit = {\n\
+               val m: Int = 0 - 9223372036854775807 - 1\n\
+               println(-m)\n\
+               }\n";
+    let program = compile_sources(&[("neg.ms", src)], &CompilerOptions::fused())
+        .expect("compiles")
+        .program;
+    for (label, opts) in VmOptions::all() {
+        let (outcome, out, _) = run(&program, opts, u64::MAX);
+        assert!(outcome.starts_with("ok"), "{label}: {outcome}");
+        assert_eq!(out, vec!["-9223372036854775808"], "{label}");
+    }
 }
 
 proptest! {
@@ -238,7 +216,7 @@ proptest! {
         on_big_stack(move || {
             let program = compile(&workload::generate_exec(&cfg));
             let (ref_outcome, ref_out, _) = run(&program, VmOptions::reference(), fuel);
-            for (label, opts) in ablations() {
+            for (label, opts) in VmOptions::all() {
                 let (outcome, out, _) = run(&program, opts, fuel);
                 assert_eq!(outcome, ref_outcome, "{label} diverged");
                 assert_eq!(out, ref_out, "{label}: output diverged");
